@@ -8,12 +8,31 @@ leaves an inspectable record.  EXPERIMENTS.md summarizes these outputs.
 
 from __future__ import annotations
 
+import os
+import subprocess
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from repro.experiments.report import render_table
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+
+def provenance() -> str:
+    """``sha <short sha>[+dirty], nproc <n>``: what a timing was measured on."""
+    root = Path(__file__).resolve().parent.parent
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=root, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        dirty = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=root, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha, dirty = "unknown", ""
+    return f"sha {sha}{'+dirty' if dirty else ''}, nproc {len(os.sched_getaffinity(0))}"
 
 
 def emit(name: str, text: str) -> None:

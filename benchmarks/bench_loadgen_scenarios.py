@@ -44,7 +44,6 @@ from repro.service.server import make_server
 ADMIN_TOKEN = "bench-loadgen"
 PRESETS = ("null_no_bias", "paper_taskrabbit", "mega_marketplace")
 SHARDS = 2
-CORE = "columnar"
 SEED = 11
 
 REQUESTS, WARMUP, WORKERS = 160, 16, 4
@@ -57,7 +56,6 @@ def _boot_server():
         port=0,
         request_timeout=120.0,
         shards=SHARDS,
-        core=CORE,
         admin_token=ADMIN_TOKEN,
         quiet=True,
     )
@@ -114,7 +112,7 @@ def run_loadgen_scenarios(quick: bool = False) -> list[dict]:
 
     lines = [
         "Scenario loadgen — seeded mixes vs a 2-shard columnar server",
-        f"(shards={SHARDS}, core={CORE}, runtime registration via "
+        f"(shards={SHARDS}, core=columnar, runtime registration via "
         "POST /v1/datasets,",
         f" mix quantify/compare/batch/whatif/observations, seed={SEED}"
         + ("; quick mode)" if quick else ")"),

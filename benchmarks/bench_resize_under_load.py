@@ -5,7 +5,7 @@ the service keeps answering: moving datasets drain, migrate their full
 write-path state, and flip routing atomically, while requests that land
 inside a dataset's migration window wait a short grace period and then —
 writes only — get a retryable 503 (``shard_resizing``).  This benchmark
-prices that promise from the client's chair, once per storage core:
+prices that promise from the client's chair:
 
 * ``STREAMS`` no-retry clients hammer ``/v1/quantify`` across the catalog
   while the pool resizes 2→4 and back 4→2 under them;
@@ -37,7 +37,7 @@ from time import monotonic
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _util import emit  # noqa: E402
+from _util import emit, provenance  # noqa: E402
 
 from repro.client import ClientError, FBoxClient, RetryPolicy  # noqa: E402
 from repro.experiments.datasets import (  # noqa: E402
@@ -50,7 +50,6 @@ from repro.service.server import make_server  # noqa: E402
 
 DATASETS = 4
 STREAMS = 3
-CORES = ("dict", "columnar")
 BASE_SHARDS = 2
 GROWN_SHARDS = 4
 # Traffic runs the whole time; the resizes fire at these offsets so the
@@ -96,7 +95,7 @@ def _percentile(sorted_values: list[float], fraction: float) -> float:
     return sorted_values[index]
 
 
-def _run_core(core: str, warm: float, settle: float) -> dict:
+def _run(warm: float, settle: float) -> dict:
     """One full traffic run with a 2→4→2 resize in the middle of it."""
     datasets = _catalog()
     server = make_server(
@@ -106,7 +105,6 @@ def _run_core(core: str, warm: float, settle: float) -> dict:
         max_concurrency=0,
         cache_size=0,  # every request exercises the owning worker
         shards=BASE_SHARDS,
-        core=core,
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -204,7 +202,6 @@ def _run_core(core: str, warm: float, settle: float) -> dict:
     overall = sorted(lat for _, lat in latencies)
     mid = sorted(in_resize)
     return {
-        "core": core,
         "requests": len(latencies),
         "p50_ms": _percentile(overall, 0.50) * 1e3,
         "p99_ms": _percentile(overall, 0.99) * 1e3,
@@ -219,40 +216,30 @@ def _run_core(core: str, warm: float, settle: float) -> dict:
     }
 
 
-def run_resize_under_load(quick: bool = False) -> dict[str, dict]:
+def run_resize_under_load(quick: bool = False) -> dict:
     warm = QUICK_WARM_SECONDS if quick else WARM_SECONDS
     settle = QUICK_SETTLE_SECONDS if quick else SETTLE_SECONDS
-    results = {core: _run_core(core, warm, settle) for core in CORES}
+    row = _run(warm, settle)
 
+    mid = f"{row['mid_p50_ms']:.1f} / {row['mid_p99_ms']:.1f}"
+    durations = ", ".join(f"{value:.3f}s" for value in row["resize_seconds"])
     lines = [
         "Resize under load — client-side cost of a live 2→4→2 pool resize",
         f"({STREAMS} no-retry client streams over {DATASETS} datasets; "
-        "cache off;",
+        f"cache off; {provenance()};",
         " '503 window' spans first→last shard_resizing blip"
         + ("; quick mode)" if quick else ")"),
         "=" * 70,
         "",
-        f"{'core':>8} {'reqs':>6} {'p50 ms':>8} {'p99 ms':>8} "
+        f"{'reqs':>6} {'p50 ms':>8} {'p99 ms':>8} "
         f"{'mid-resize p50/p99 ms':>22} {'503s':>5} {'window ms':>10}",
-        f"{'-' * 8} {'-' * 6} {'-' * 8} {'-' * 8} {'-' * 22} "
-        f"{'-' * 5} {'-' * 10}",
-    ]
-    for core, row in results.items():
-        mid = f"{row['mid_p50_ms']:.1f} / {row['mid_p99_ms']:.1f}"
-        lines.append(
-            f"{core:>8} {row['requests']:>6} {row['p50_ms']:>8.1f} "
-            f"{row['p99_ms']:>8.1f} {mid:>22} {row['blips']:>5} "
-            f"{row['blip_window_ms']:>10.1f}"
-        )
-    for core, row in results.items():
-        durations = ", ".join(f"{value:.3f}s" for value in row["resize_seconds"])
-        lines.append("")
-        lines.append(
-            f"{core}: resize durations {durations}; datasets moved "
-            f"{row['migrated']}; {row['mid_requests']} requests overlapped "
-            "a resize"
-        )
-    lines += [
+        f"{'-' * 6} {'-' * 8} {'-' * 8} {'-' * 22} {'-' * 5} {'-' * 10}",
+        f"{row['requests']:>6} {row['p50_ms']:>8.1f} "
+        f"{row['p99_ms']:>8.1f} {mid:>22} {row['blips']:>5} "
+        f"{row['blip_window_ms']:>10.1f}",
+        "",
+        f"resize durations {durations}; datasets moved {row['migrated']}; "
+        f"{row['mid_requests']} requests overlapped a resize",
         "",
         "Retries are disabled to expose the 503 window; the production",
         "FBoxClient retries those blips transparently (Retry-After led),",
@@ -261,13 +248,12 @@ def run_resize_under_load(quick: bool = False) -> dict[str, dict]:
     ]
     emit("resize_under_load", "\n".join(lines))
 
-    for core, row in results.items():
-        # The availability contract: nothing but retryable 503s, ever.
-        assert row["hard_failures"] == [], (core, row["hard_failures"])
-        assert row["requests"] > 0, core
-        # Both resizes must have actually moved state (see _catalog).
-        assert all(moved > 0 for moved in row["migrated"]), row["migrated"]
-    return results
+    # The availability contract: nothing but retryable 503s, ever.
+    assert row["hard_failures"] == [], row["hard_failures"]
+    assert row["requests"] > 0
+    # Both resizes must have actually moved state (see _catalog).
+    assert all(moved > 0 for moved in row["migrated"]), row["migrated"]
+    return row
 
 
 def test_resize_under_load():

@@ -1,8 +1,7 @@
 """Service throughput: warm-cache vs cold-cache requests/sec, p50/p95.
 
 Boots a real F-Box server on an ephemeral port (small six-city datasets),
-then measures three request populations over HTTP, on **both transport
-backends** (``threads`` and ``asyncio``):
+then measures three request populations over HTTP:
 
 * **build** — the very first request, which materializes the cube;
 * **cold cache** — distinct parameterizations (every one a cache miss that
@@ -13,8 +12,7 @@ Run under pytest it writes ``benchmarks/results/service_throughput.txt``.
 It is also a script, for CI smoke runs that should *not* overwrite the
 committed results::
 
-    PYTHONPATH=src python benchmarks/bench_service_throughput.py \
-        --quick --backend asyncio
+    PYTHONPATH=src python benchmarks/bench_service_throughput.py --quick
 """
 
 from __future__ import annotations
@@ -26,11 +24,11 @@ import threading
 import urllib.request
 from time import perf_counter
 
-from _util import emit
+from _util import emit, provenance
 from repro.core.attributes import default_schema  # noqa: F401  (import check)
 from repro.experiments.datasets import build_taskrabbit_dataset
 from repro.service.registry import SMALL_CITIES, DatasetRegistry, DatasetSpec
-from repro.service.server import BACKENDS, make_server
+from repro.service.server import make_server
 
 COLD_REQUESTS = 60
 WARM_REQUESTS = 300
@@ -76,15 +74,13 @@ def _cold_population(count: int) -> list[dict]:
     return population[:count]
 
 
-def _run_backend(dataset, backend: str, cold: int, warm: int) -> dict:
-    """Boot one server on ``backend`` and measure the three populations."""
+def _run(dataset, cold: int, warm: int) -> dict:
+    """Boot one server and measure the three populations."""
     registry = DatasetRegistry()
     registry.register(
         DatasetSpec(name="taskrabbit", site="taskrabbit", loader=lambda: dataset)
     )
-    server = make_server(
-        registry=registry, port=0, request_timeout=300.0, backend=backend
-    )
+    server = make_server(registry=registry, port=0, request_timeout=300.0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     base = server.url
@@ -117,64 +113,50 @@ def _run_backend(dataset, backend: str, cold: int, warm: int) -> dict:
     return {"build_seconds": build_seconds, "rows": rows}
 
 
-def _report(results: dict[str, dict]) -> str:
+def _report(result: dict) -> str:
     lines = [
         "Service throughput — F-Box query server (six-city TaskRabbit crawl)",
+        f"({provenance()})",
         "=" * 66,
+        "",
+        f"first request (cube + index build): "
+        f"{result['build_seconds'] * 1000.0:.1f} ms",
+        f"{'population':<12} {'requests':>8} {'req/s':>10} {'p50 ms':>9} {'p95 ms':>9}",
+        f"{'-' * 12} {'-' * 8} {'-' * 10} {'-' * 9} {'-' * 9}",
     ]
-    for backend, result in results.items():
-        lines += [
-            "",
-            f"backend: {backend}",
-            f"first request (cube + index build): "
-            f"{result['build_seconds'] * 1000.0:.1f} ms",
-            f"{'population':<12} {'requests':>8} {'req/s':>10} {'p50 ms':>9} {'p95 ms':>9}",
-            f"{'-' * 12} {'-' * 8} {'-' * 10} {'-' * 9} {'-' * 9}",
-        ]
-        for label, count, rps, p50, p95 in result["rows"]:
-            lines.append(f"{label:<12} {count:>8} {rps:>10.1f} {p50:>9.3f} {p95:>9.3f}")
+    for label, count, rps, p50, p95 in result["rows"]:
+        lines.append(f"{label:<12} {count:>8} {rps:>10.1f} {p50:>9.3f} {p95:>9.3f}")
     return "\n".join(lines)
 
 
-def _measure(backends: tuple[str, ...], cold: int, warm: int) -> dict[str, dict]:
+def _measure(cold: int, warm: int) -> dict:
     dataset = build_taskrabbit_dataset(seed=7, cities=SMALL_CITIES)
-    results = {
-        backend: _run_backend(dataset, backend, cold, warm) for backend in backends
-    }
-    for result in results.values():
-        cold_rps = result["rows"][0][2]
-        warm_rps = result["rows"][1][2]
-        assert warm_rps > cold_rps  # the cache must actually pay for itself
-    return results
+    result = _run(dataset, cold, warm)
+    cold_rps = result["rows"][0][2]
+    warm_rps = result["rows"][1][2]
+    assert warm_rps > cold_rps  # the cache must actually pay for itself
+    return result
 
 
 def test_service_throughput():
-    results = _measure(BACKENDS, COLD_REQUESTS, WARM_REQUESTS)
-    emit("service_throughput", _report(results))
+    emit("service_throughput", _report(_measure(COLD_REQUESTS, WARM_REQUESTS)))
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--backend",
-        choices=BACKENDS + ("both",),
-        default="both",
-        help="transport backend to measure (default: both)",
-    )
     parser.add_argument(
         "--quick",
         action="store_true",
         help="smoke sizing; prints the table without touching results/",
     )
     args = parser.parse_args()
-    backends = BACKENDS if args.backend == "both" else (args.backend,)
     cold = QUICK_COLD_REQUESTS if args.quick else COLD_REQUESTS
     warm = QUICK_WARM_REQUESTS if args.quick else WARM_REQUESTS
-    results = _measure(backends, cold, warm)
+    report = _report(_measure(cold, warm))
     if args.quick:
-        print(_report(results))
+        print(report)
     else:
-        emit("service_throughput", _report(results))
+        emit("service_throughput", report)
 
 
 if __name__ == "__main__":

@@ -1,23 +1,18 @@
 """Sharded scaling: cold-sweep throughput at ``--shards`` 0 / 2 / 4.
 
-Runs the whole sweep once per storage core (``--core dict``, ``--core
-columnar``, or the default ``both``): the columnar core answers sharded
-reads front-side from the workers' published shared-memory segments
-(no socket hop) and runs its TA sweeps over flat numpy views, so at every
-shard count it must at least match the dict core's throughput — that
-floor is asserted.
-
 The question the shard pool exists to answer: once TA sweeps for distinct
 datasets run in distinct *processes*, does aggregate cold-sweep throughput
 scale past the GIL?  Four seeded TaskRabbit datasets are spread over the
 shard ring, caching is disabled (every request is a full top-k sweep), and
 ``STREAMS`` concurrent clients hammer the pool for a fixed window at each
 shard count.  Answers are also cross-checked across configurations — the
-sharded backend must be answer-identical to the in-process one.
+sharded backend must be answer-identical to the in-process one.  Sharded
+``/quantify`` reads are answered front-side from the workers' published
+shared-memory segments (no socket hop).
 
 Reading the numbers: shard scaling is *CPU* scaling, so the headline
 speedup only materializes on a multi-core runner.  The output therefore
-leads with ``os.cpu_count()``; on a single-core container the 2x-at-4-
+leads with the visible CPU count; on a single-core container the 2x-at-4-
 shards expectation is reported but not asserted (forked workers time-slice
 one core, and process overhead makes sharding a small net loss there).
 
@@ -41,7 +36,7 @@ from time import monotonic
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _util import emit
+from _util import emit, provenance
 from repro.client import FBoxClient, RetryPolicy
 from repro.experiments.datasets import build_taskrabbit_dataset
 from repro.service.registry import SMALL_CITIES, DatasetRegistry, DatasetSpec
@@ -50,7 +45,6 @@ from repro.service.sharding import shard_for
 
 DATASETS = 4
 STREAMS = 4
-CORES = ("dict", "columnar")
 SHARD_COUNTS = (0, 2, 4)
 WINDOW_SECONDS = 6.0
 QUICK_WINDOW_SECONDS = 1.5
@@ -87,9 +81,7 @@ def _client(server) -> FBoxClient:
     return FBoxClient(server.url, timeout=120.0, retry=RetryPolicy(max_attempts=1))
 
 
-def _run_config(
-    datasets: dict[str, object], shards: int, window: float, core: str = "dict"
-) -> dict:
+def _run_config(datasets: dict[str, object], shards: int, window: float) -> dict:
     """Throughput of ``STREAMS`` cold-sweep streams at one shard count."""
     server = make_server(
         registry=_registry(datasets),
@@ -98,7 +90,6 @@ def _run_config(
         max_concurrency=0,  # no shedding: measure raw execution throughput
         cache_size=0,  # every request is a full TA sweep
         shards=shards,
-        core=core,
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -146,7 +137,6 @@ def _run_config(
         server.server_close()
     total = sum(counts)
     return {
-        "core": core,
         "shards": shards,
         "requests": total,
         "elapsed": elapsed,
@@ -155,22 +145,16 @@ def _run_config(
     }
 
 
-def run_sharded_scaling(
-    quick: bool = False, which_cores: tuple[str, ...] = CORES
-) -> dict[tuple[str, int], dict]:
-    cores = os.cpu_count() or 1
+def run_sharded_scaling(quick: bool = False) -> dict[int, dict]:
+    cores = len(os.sched_getaffinity(0))
     window = QUICK_WINDOW_SECONDS if quick else WINDOW_SECONDS
     shard_counts = QUICK_SHARD_COUNTS if quick else SHARD_COUNTS
     datasets = _datasets()
     results = {
-        (core, shards): _run_config(datasets, shards, window, core)
-        for core in which_cores
-        for shards in shard_counts
+        shards: _run_config(datasets, shards, window) for shards in shard_counts
     }
 
-    baselines = {
-        core: results[(core, 0)]["throughput"] for core in which_cores
-    }
+    baseline = results[0]["throughput"]
     placement = {
         shards: [shard_for(name, shards) for name in datasets]
         for shards in shard_counts
@@ -178,21 +162,20 @@ def run_sharded_scaling(
     }
     lines = [
         "Sharded scaling — cold-sweep throughput by worker-process count",
-        f"(cores visible: {cores}; {STREAMS} client streams; {DATASETS} "
+        f"({provenance()}; {STREAMS} client streams; {DATASETS} "
         "datasets; cache off,",
         f" every request a full top-k sweep; {window:g}s window per config"
         + ("; quick mode)" if quick else ")"),
         "=" * 68,
         "",
-        f"{'core':>8} {'shards':>6} {'requests':>9} {'seconds':>8} "
+        f"{'shards':>6} {'requests':>9} {'seconds':>8} "
         f"{'req/s':>9} {'vs shards=0':>12}",
-        f"{'-' * 8} {'-' * 6} {'-' * 9} {'-' * 8} {'-' * 9} {'-' * 12}",
+        f"{'-' * 6} {'-' * 9} {'-' * 8} {'-' * 9} {'-' * 12}",
     ]
-    for (core, shards), row in results.items():
-        baseline = baselines[core]
+    for shards, row in results.items():
         speedup = row["throughput"] / baseline if baseline > 0 else 0.0
         lines.append(
-            f"{core:>8} {shards:>6} {row['requests']:>9} "
+            f"{shards:>6} {row['requests']:>9} "
             f"{row['elapsed']:>8.2f} {row['throughput']:>9.1f} "
             f"{speedup:>11.2f}x"
         )
@@ -210,33 +193,18 @@ def run_sharded_scaling(
         "target presumes a",
         "4+-core runner.  On fewer cores the forked workers time-slice the",
         "same silicon and the table above mostly prices the socket hop.",
-        "The columnar core answers sharded reads front-side from the",
-        "workers' published segments, so it is gated to never trail dict.",
     ]
     emit("sharded_scaling", "\n".join(lines))
 
-    # Correctness is asserted everywhere: every configuration — any shard
-    # count, either core — must produce the exact same answers.
-    reference = results[(which_cores[0], 0)]["answers"]
+    # Correctness is asserted everywhere: every shard count must produce
+    # the exact same answers.
+    reference = results[0]["answers"]
     for row in results.values():
         assert row["answers"] == reference
         assert row["requests"] > 0
-    # The columnar floor: at every shard count, at least dict throughput.
-    if set(which_cores) == set(CORES):
-        for shards in shard_counts:
-            dict_rate = results[("dict", shards)]["throughput"]
-            columnar_rate = results[("columnar", shards)]["throughput"]
-            assert columnar_rate >= 1.0 * dict_rate, (
-                f"columnar core at {shards} shards is slower than dict "
-                f"({columnar_rate:.1f} vs {dict_rate:.1f} req/s)"
-            )
     # The throughput claim only holds where the cores exist to back it.
-    for core in which_cores:
-        if not quick and cores >= 4 and (core, 4) in results:
-            assert (
-                results[(core, 4)]["throughput"]
-                >= SPEEDUP_TARGET * baselines[core]
-            )
+    if not quick and cores >= 4 and 4 in results:
+        assert results[4]["throughput"] >= SPEEDUP_TARGET * baseline
     return results
 
 
@@ -251,13 +219,6 @@ if __name__ == "__main__":
         action="store_true",
         help="short windows, shards {0, 2} only (the CI configuration)",
     )
-    parser.add_argument(
-        "--core",
-        choices=["dict", "columnar", "both"],
-        default="both",
-        help="storage core(s) to sweep; 'both' also gates columnar >= dict",
-    )
     arguments = parser.parse_args()
-    selected = CORES if arguments.core == "both" else (arguments.core,)
-    run_sharded_scaling(quick=arguments.quick, which_cores=selected)
+    run_sharded_scaling(quick=arguments.quick)
     print("sharded scaling bench: OK")

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Smoke test for the F-Box query service, in five passes:
+# Smoke test for the F-Box query service, in seven passes:
 #
 #   1. plain boot: /healthz, /readyz, /quantify, /batch, /metrics;
 #   2. chaos (breaker): boot with FBOX_FAULTS making the google loader crash
@@ -8,37 +8,28 @@
 #   3. chaos (degraded): boot with an injected /quantify stall longer than
 #      the request deadline — a warm `allow_stale` request must round-trip
 #      a last-known-good answer marked `"degraded": true`;
-#   4. sharded: boot with `--shards 2` and drive the versioned /v1 API —
-#      queries answered by both worker processes, a cross-shard /batch,
-#      worker build counts merged into /metrics, and the deprecation
-#      headers on legacy unversioned paths;
-#   5. live ingest: boot sharded with a tiny --alert-threshold, stream a
+#   4. live ingest: boot sharded with a tiny --alert-threshold, stream a
 #      simulated re-crawl batch through `repro ingest`, replay it (must be
 #      idempotent), then read the per-generation trend points from
 #      /v1/trends and the fairness alerts from /v1/metrics + /v1/datasets;
-#   6. columnar core: boot sharded with `--core columnar`, answer queries
-#      from the shared-memory segments, ingest a batch through the write
-#      path, and — after shutdown — assert no fbx* segment survives in
-#      /dev/shm (the leak check);
-#   7. live resize: boot with `--shards 2 --admin-token`, ingest, then
+#   5. sharded + shared memory: boot with `--shards 2`, answer queries on
+#      both workers and from the published shared-memory segments, run a
+#      cross-shard /batch, check worker build counts merged into /metrics,
+#      ingest a batch through the write path, and — after shutdown —
+#      assert no fbx* segment survives in /dev/shm (the leak check);
+#   6. live resize: boot with `--shards 2 --admin-token`, ingest, then
 #      resize the pool to 4 and back to 2 through POST /v1/admin/shards
 #      while a background FBoxClient query loop hammers both datasets —
 #      the loop must see zero failures (only transparent retries), the
 #      post-resize answers must match the pre-resize ones, and the replayed
 #      batch must still answer from the migrated idempotency ledger;
-#   8. scenarios + loadgen: boot sharded with an admin token, register the
+#   7. scenarios + loadgen: boot sharded with an admin token, register the
 #      `null_no_bias` scenario at runtime through POST /v1/datasets, list
 #      it via GET /v1/scenarios, then replay the seeded traffic mix with
 #      `repro loadgen --quick` — the run must finish with zero hard
 #      failures and non-zero throughput.
 #
-# All eight passes run once per transport backend (`--backend threads`,
-# then `--backend asyncio`) — the two fronts share one application layer,
-# so every pass must behave identically on both.
-#
-# Unversioned paths are retired (410 by default); pass 1 asserts the 410
-# pointer, pass 4 boots with `--legacy-routes serve` to cover the
-# deprecated straggler passthrough.
+# Unversioned paths are retired; pass 1 asserts the 410 pointer.
 #
 # Exits nonzero on any failure.
 #
@@ -68,7 +59,7 @@ cleanup() {
 trap cleanup EXIT
 
 fail() {
-    echo "smoke[${BACKEND:-}]: $1" >&2
+    echo "smoke: $1" >&2
     echo "--- server log ---" >&2
     cat "$LOG" >&2
     exit 1
@@ -94,30 +85,14 @@ except Exception as error:
 EOF
 }
 
-# http_header <url> <header-name> -> prints the header value ("" if absent)
-http_header() {
-    python3 - "$@" <<'EOF'
-import sys, urllib.error, urllib.request
-url, name = sys.argv[1], sys.argv[2]
-try:
-    with urllib.request.urlopen(url, timeout=30) as response:
-        print(response.headers.get(name, ""))
-except urllib.error.HTTPError as error:
-    print(error.headers.get(name, ""))
-except Exception:
-    print("")
-EOF
-}
-
-# boot_server <extra serve args...> — starts `repro serve` on a fresh port
-# with the current $BACKEND transport, waits for /healthz, and sets
-# BASE/SERVER_PID.  FBOX_FAULTS is inherited from the caller's environment.
+# boot_server <extra serve args...> — starts `repro serve` on a fresh port,
+# waits for /healthz, and sets BASE/SERVER_PID.  FBOX_FAULTS is inherited
+# from the caller's environment.
 boot_server() {
     PORT="$(pick_port)" || fail "could not pick a free port"
     BASE="http://127.0.0.1:${PORT}"
     : >"$LOG"
-    python3 -m repro serve --port "$PORT" --scope small \
-        --backend "$BACKEND" "$@" >"$LOG" 2>&1 &
+    python3 -m repro serve --port "$PORT" --scope small "$@" >"$LOG" 2>&1 &
     SERVER_PID=$!
     local deadline=$((SECONDS + TIMEOUT))
     while true; do
@@ -152,8 +127,6 @@ expect() {
     [ "$status" = "$want" ] || fail "$label answered $result (wanted $want)"
     printf '%s\n' "${result#* }"
 }
-
-run_passes() {
 
 # ----------------------------------------------------------------------
 # Pass 1: plain service
@@ -263,53 +236,7 @@ echo "smoke: degraded answer ok"
 stop_server
 
 # ----------------------------------------------------------------------
-# Pass 4: sharded execution (--shards 2) behind the versioned /v1 API
-# ----------------------------------------------------------------------
-
-# --legacy-routes serve keeps the straggler passthrough alive so the
-# RFC 8594 deprecation headers stay covered.
-boot_server --shards 2 --legacy-routes serve
-expect 200 "sharded readyz" GET "$BASE/v1/readyz" >/dev/null
-
-BODY="$(expect 200 "sharded quantify (taskrabbit)" POST "$BASE/v1/quantify" '{"dataset": "taskrabbit", "dimension": "group", "k": 3}')"
-case "$BODY" in
-    *'"unfairness"'*) ;;
-    *) fail "sharded quantify body lacks unfairness values: $BODY" ;;
-esac
-expect 200 "sharded quantify (google)" POST "$BASE/v1/quantify" '{"dataset": "google", "dimension": "location", "k": 2}' >/dev/null
-echo "smoke: sharded quantify ok (both workers answering)"
-
-BODY="$(expect 200 "cross-shard batch" POST "$BASE/v1/batch" '[{"op": "quantify", "dataset": "taskrabbit", "dimension": "group", "k": 2}, {"op": "quantify", "dataset": "google", "dimension": "location", "k": 2}]')"
-case "$BODY" in
-    *'"succeeded": 2'*|*'"succeeded":2'*) ;;
-    *) fail "cross-shard batch did not succeed on both items: $BODY" ;;
-esac
-echo "smoke: cross-shard batch ok"
-
-BODY="$(expect 200 "sharded metrics" GET "$BASE/v1/metrics")"
-case "$BODY" in
-    *'fbox_cube_builds_total 2'*) ;;
-    *) fail "sharded metrics do not merge worker build counts: $BODY" ;;
-esac
-echo "smoke: sharded metrics merge ok"
-
-# Legacy unversioned paths still answer, flagged deprecated; /v1 is clean.
-DEPRECATION="$(http_header "$BASE/healthz" Deprecation)"
-[ "$DEPRECATION" = "true" ] || fail "legacy path lacks Deprecation: true header"
-DEPRECATION="$(http_header "$BASE/v1/healthz" Deprecation)"
-[ -z "$DEPRECATION" ] || fail "/v1 path unexpectedly carries a Deprecation header"
-echo "smoke: deprecation headers ok"
-
-BODY="$(expect 200 "schema" GET "$BASE/v1/schema")"
-case "$BODY" in
-    *'"shard_unavailable"'*) ;;
-    *) fail "schema lacks the shard_unavailable error code: $BODY" ;;
-esac
-echo "smoke: sharded /v1 pass ok"
-stop_server
-
-# ----------------------------------------------------------------------
-# Pass 5: live ingest + trends on the sharded /v1 write path
+# Pass 4: live ingest + trends on the sharded /v1 write path
 # ----------------------------------------------------------------------
 
 boot_server --shards 2 --alert-threshold 0.0001
@@ -368,59 +295,79 @@ echo "smoke: fairness alerts ok"
 stop_server
 
 # ----------------------------------------------------------------------
-# Pass 6: columnar shared-memory core (--core columnar) + leak check
+# Pass 5: sharded execution over shared-memory segments + leak check
 # ----------------------------------------------------------------------
 
 # Segments from anything else running on this machine are not ours to
 # judge: snapshot /dev/shm before boot and diff after shutdown.
 SHM_BEFORE="$(ls /dev/shm 2>/dev/null | grep '^fbx' | sort)"
 
-boot_server --shards 2 --core columnar --alert-threshold 0.0001
-expect 200 "columnar readyz" GET "$BASE/v1/readyz" >/dev/null
+boot_server --shards 2 --alert-threshold 0.0001
+expect 200 "sharded readyz" GET "$BASE/v1/readyz" >/dev/null
 
-BODY="$(expect 200 "columnar quantify (taskrabbit)" POST "$BASE/v1/quantify" '{"dataset": "taskrabbit", "dimension": "group", "k": 3}')"
+BODY="$(expect 200 "sharded quantify (taskrabbit)" POST "$BASE/v1/quantify" '{"dataset": "taskrabbit", "dimension": "group", "k": 3}')"
 case "$BODY" in
     *'"unfairness"'*) ;;
-    *) fail "columnar quantify body lacks unfairness values: $BODY" ;;
+    *) fail "sharded quantify body lacks unfairness values: $BODY" ;;
 esac
-expect 200 "columnar quantify (google)" POST "$BASE/v1/quantify" '{"dataset": "google", "dimension": "location", "k": 2}' >/dev/null
-echo "smoke: columnar quantify ok"
+expect 200 "sharded quantify (google)" POST "$BASE/v1/quantify" '{"dataset": "google", "dimension": "location", "k": 2}' >/dev/null
+echo "smoke: sharded quantify ok (both workers answering)"
 
-# The worker published its cube: segments must be live in /dev/shm now.
+# The workers published their cubes: segments must be live in /dev/shm now.
 SHM_LIVE="$(ls /dev/shm 2>/dev/null | grep '^fbx' | sort)"
-[ "$SHM_LIVE" != "$SHM_BEFORE" ] || fail "columnar server published no /dev/shm segment"
+[ "$SHM_LIVE" != "$SHM_BEFORE" ] || fail "sharded server published no /dev/shm segment"
 
-# The columnar write path: ingest must publish a new generation, and the
+BODY="$(expect 200 "cross-shard batch" POST "$BASE/v1/batch" '[{"op": "quantify", "dataset": "taskrabbit", "dimension": "group", "k": 2}, {"op": "quantify", "dataset": "google", "dimension": "location", "k": 2}]')"
+case "$BODY" in
+    *'"succeeded": 2'*|*'"succeeded":2'*) ;;
+    *) fail "cross-shard batch did not succeed on both items: $BODY" ;;
+esac
+echo "smoke: cross-shard batch ok"
+
+BODY="$(expect 200 "sharded metrics" GET "$BASE/v1/metrics")"
+case "$BODY" in
+    *'fbox_cube_builds_total 2'*) ;;
+    *) fail "sharded metrics do not merge worker build counts: $BODY" ;;
+esac
+echo "smoke: sharded metrics merge ok"
+
+BODY="$(expect 200 "schema" GET "$BASE/v1/schema")"
+case "$BODY" in
+    *'"shard_unavailable"'*) ;;
+    *) fail "schema lacks the shard_unavailable error code: $BODY" ;;
+esac
+
+# The write path: ingest must publish a new generation, and the
 # post-ingest read must reflect it.
 INGEST_FILE="$(mktemp)"
 python3 -m repro simulate taskrabbit --scope small --stream \
     --batches 1 --batch-size 2 >"$INGEST_FILE" 2>>"$LOG" \
-    || fail "simulate --stream failed (columnar)"
+    || fail "simulate --stream failed (shared memory)"
 OUT="$(python3 -m repro ingest "$BASE" "$INGEST_FILE" 2>&1)" \
-    || fail "columnar ingest failed: $OUT"
+    || fail "sharded ingest failed: $OUT"
 case "$OUT" in
     *'generation 2'*) ;;
-    *) fail "columnar ingest did not bump the generation: $OUT" ;;
+    *) fail "sharded ingest did not bump the generation: $OUT" ;;
 esac
 rm -f "$INGEST_FILE"
-expect 200 "post-ingest columnar quantify" POST "$BASE/v1/quantify" '{"dataset": "taskrabbit", "dimension": "group", "k": 3}' >/dev/null
-echo "smoke: columnar ingest ok"
+expect 200 "post-ingest quantify" POST "$BASE/v1/quantify" '{"dataset": "taskrabbit", "dimension": "group", "k": 3}' >/dev/null
+echo "smoke: ingest over shared memory ok"
 
-BODY="$(expect 200 "columnar metrics" GET "$BASE/v1/metrics")"
+BODY="$(expect 200 "metrics after ingest" GET "$BASE/v1/metrics")"
 case "$BODY" in
     *fbox_segment_attaches_total*) ;;
-    *) fail "columnar metrics lack fbox_segment_attaches_total" ;;
+    *) fail "metrics lack fbox_segment_attaches_total" ;;
 esac
-echo "smoke: columnar metrics ok"
+echo "smoke: segment metrics ok"
 
 # Graceful shutdown must sweep every segment this server created.
 stop_server
 SHM_AFTER="$(ls /dev/shm 2>/dev/null | grep '^fbx' | sort)"
 [ "$SHM_AFTER" = "$SHM_BEFORE" ] || fail "leaked /dev/shm segments after shutdown: $(printf '%s' "$SHM_AFTER" | tr '\n' ' ')"
-echo "smoke: columnar segment sweep ok"
+echo "smoke: segment sweep ok"
 
 # ----------------------------------------------------------------------
-# Pass 7: live shard-pool resize under a background query loop
+# Pass 6: live shard-pool resize under a background query loop
 # ----------------------------------------------------------------------
 
 boot_server --shards 2 --admin-token smoke-token
@@ -513,7 +460,7 @@ echo "smoke: resize state + metrics ok"
 stop_server
 
 # ----------------------------------------------------------------------
-# Pass 8: runtime scenario registration + the seeded loadgen mix
+# Pass 7: runtime scenario registration + the seeded loadgen mix
 # ----------------------------------------------------------------------
 
 boot_server --shards 2 --admin-token smoke-token
@@ -559,14 +506,6 @@ python3 -c "import sys; sys.exit(0 if float('${THROUGHPUT:-0}') > 0 else 1)" \
     || fail "loadgen measured no throughput: $LOADGEN_OUT"
 echo "smoke: loadgen mix ok (zero hard failures, ${THROUGHPUT} req/s)"
 stop_server
-
-}
-
-for BACKEND in threads asyncio; do
-    echo "smoke: === backend $BACKEND ==="
-    run_passes
-    echo "smoke: backend $BACKEND PASS"
-done
 
 echo "smoke: PASS"
 exit 0

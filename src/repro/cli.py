@@ -224,13 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         "until every one is built",
     )
     serve.add_argument(
-        "--backend", choices=["threads", "asyncio"], default="threads",
-        help="transport: threads = one OS thread per connection; asyncio = "
-        "one event loop, CPU work on a bounded executor",
-    )
-    serve.add_argument(
         "--executor-workers", type=int, default=0,
-        help="asyncio backend: threads in the CPU executor "
+        help="threads in the CPU executor behind the event loop "
         "(0 = match --max-concurrency)",
     )
     serve.add_argument(
@@ -253,18 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="arm the admin API (POST /v1/admin/shards): requests must carry "
         "this token in X-Admin-Token or Authorization: Bearer; unset leaves "
         "the endpoint open (local development)",
-    )
-    serve.add_argument(
-        "--core", choices=["dict", "columnar"], default="dict",
-        help="F-Box storage engine: dict = reference per-cell maps; columnar "
-        "= flat numpy blocks in shared-memory segments (workers re-attach "
-        "after restarts; sharded fronts answer reads from the segments)",
-    )
-    serve.add_argument(
-        "--legacy-routes", choices=["serve", "gone"], default="gone",
-        help="unversioned (pre-/v1) paths: gone = answer 410 with a v1_path "
-        "pointer (default); serve = deprecated passthrough with "
-        "Deprecation/Sunset headers for stragglers",
     )
 
     simulate = subparsers.add_parser(
@@ -684,7 +667,10 @@ def _command_batch(args) -> int:
         context = ServiceContext(
             registry=registry, cache=LRUCache(256), metrics=ServiceMetrics()
         )
-        document = handle_batch(context, payload)
+        try:
+            document = handle_batch(context, payload)
+        finally:
+            registry.close()  # unlink the F-Boxes' /dev/shm segments
 
     print(json.dumps(document, sort_keys=True, indent=2))
     failed = document.get("failed", 0)
@@ -710,7 +696,6 @@ def _command_serve(args) -> int:
             reset_timeout=args.breaker_reset,
         ),
         faults=faults_from_env(),
-        core=args.core,
     )
     return serve(
         registry=registry,
@@ -722,14 +707,11 @@ def _command_serve(args) -> int:
         max_concurrency=args.max_concurrency,
         queue_depth=args.queue_depth,
         preload=args.preload,
-        backend=args.backend,
         executor_workers=args.executor_workers or None,
         drain_grace=args.drain_grace,
         shards=args.shards,
         alert_threshold=args.alert_threshold if args.alert_threshold > 0 else None,
-        core=args.core,
         admin_token=args.admin_token,
-        legacy_routes=args.legacy_routes,
     )
 
 

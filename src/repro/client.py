@@ -97,8 +97,7 @@ class FBoxClient:
     ``/v1`` API exclusively — there is no legacy fallback.  The raw
     :meth:`request`/:meth:`post`/:meth:`get` methods use whatever path the
     caller passes; note that servers answer unversioned paths with a
-    non-retryable ``410 gone`` by default (``--legacy-routes serve``
-    restores the deprecated passthrough).
+    non-retryable ``410 gone``.
     """
 
     api_prefix = "/v1"

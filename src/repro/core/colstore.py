@@ -169,6 +169,7 @@ class SegmentSpace:
         # Fallback bookkeeping for platforms without a scannable /dev/shm.
         self._created: set[str] = set()
         self._lock = threading.Lock()
+        self._closed = False
 
     # -- naming --------------------------------------------------------
 
@@ -250,6 +251,11 @@ class SegmentSpace:
             head.close()
         if previous is not None and previous[1] != payload_name:
             _unlink(previous[1])
+        if self._closed:
+            # The owner shut down while this publish ran (e.g. a request
+            # abandoned at its deadline finishing late): leave nothing
+            # behind in /dev/shm.
+            self.clear(dataset)
         return generation
 
     def attach(
@@ -333,7 +339,11 @@ class SegmentSpace:
         return removed
 
     def close(self) -> int:
-        """Unlink everything in the namespace (server shutdown)."""
+        """Unlink everything in the namespace (server shutdown).
+
+        Publishes that finish after this call unlink their own segments.
+        """
+        self._closed = True
         return self.clear()
 
 

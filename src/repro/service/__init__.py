@@ -4,8 +4,9 @@ The paper frames the F-Box (Figures 6 and 9) as a reusable component that
 answers quantification and comparison queries on demand.  This package turns
 the one-shot CLI into that component: a stdlib-only HTTP JSON API that
 
-* loads or synthesizes each dataset **once** and shares :class:`~repro.core.
-  fbox.FBox` instances across requests (:mod:`repro.service.registry`),
+* loads or synthesizes each dataset **once** and shares columnar F-Boxes
+  (:class:`~repro.core.colstore.ColumnarFBox`, published in shared memory)
+  across requests (:mod:`repro.service.registry`),
 * caches hot query results in a thread-safe LRU (:mod:`repro.service.cache`),
 * records per-endpoint latency histograms, in-flight gauges, and cumulative
   index-access counts (:mod:`repro.service.observability`), and
@@ -43,7 +44,7 @@ from .resilience import AdmissionController, BreakerConfig, CircuitBreaker
 # is resolved lazily: importing the application layer — or any module it
 # depends on — must never pull in http.server or asyncio streams.  The
 # layering test asserts exactly that.
-_SERVER_EXPORTS = ("AioFBoxServer", "FBoxServer", "make_server", "serve")
+_SERVER_EXPORTS = ("FBoxHTTPServer", "make_server", "serve")
 
 
 def __getattr__(name: str):
@@ -64,8 +65,7 @@ __all__ = [
     "DatasetRegistry",
     "DatasetSpec",
     "default_registry",
-    "FBoxServer",
-    "AioFBoxServer",
+    "FBoxHTTPServer",
     "make_server",
     "serve",
     "canonical_key",

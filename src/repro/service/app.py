@@ -7,18 +7,18 @@ and last-known-good store, degraded answers, and metrics.  Transports
 (:mod:`repro.service.transports`) are thin adapters that parse HTTP off a
 socket, build a :class:`Request`, and write the returned :class:`Response`
 back — nothing in this module imports :mod:`http.server` or asyncio's
-streams, which is what lets one application instance sit behind both the
-threaded and the asyncio front-ends with byte-identical behavior.
+streams, so the application stays testable without sockets.
 
 The app also owns the **execution layer**: a bounded
 :class:`~concurrent.futures.ThreadPoolExecutor` sized by
-``executor_workers``.  The asyncio transport runs every CPU-bound F-Box
-call (dataset loads, cube/index builds, TA sweeps) on this pool via
+``executor_workers``.  Every CPU-bound F-Box call (dataset loads,
+cube/index builds, TA sweeps) runs on this pool via
 :meth:`FBoxApp.handle_async`, so the event loop never blocks and thread
-count is a capacity knob.  The threaded transport keeps the legacy
-guard-thread model (:func:`run_with_deadline`) it always had — one worker
-thread per admitted request — which is exactly the unbounded behavior the
-asyncio front replaces.
+count is a capacity knob.  Callers without an event loop — shard worker
+connection threads (:mod:`repro.service.shard_worker`) — drive the same
+coroutine through :meth:`FBoxApp.run_post` on a private loop per thread,
+so both sides of the shard hop share one POST pipeline and one deadline
+mechanism.
 
 Two flows through the POST pipeline:
 
@@ -26,9 +26,9 @@ Two flows through the POST pipeline:
   answer is already cached is parsed, peeked, and answered inline without
   touching admission control or the executor.  This is what keeps cheap
   repeated queries out of the queue behind expensive builds.
-* **slow path** — parse, admission (sync or async acquire, same counters),
-  deadline-bounded execution, and on timeout/open-breaker an opt-in
-  degraded answer from the last-known-good store.
+* **slow path** — parse, admission, deadline-bounded execution on the
+  pool, and on timeout/open-breaker an opt-in degraded answer from the
+  last-known-good store.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from .errors import (
 from .faults import FaultInjector, faults_from_env
 from .handlers import (
     API_PREFIX,
-    LEGACY_SUNSET,
     REQUEST_PARSERS,
     ServiceContext,
     handle_batch,
@@ -77,7 +76,7 @@ from .handlers import (
 )
 from .ingest import IngestManager, handle_observations, handle_trends, trends_document
 from .observability import ServiceMetrics, render_metrics
-from .registry import CORES, DatasetRegistry, default_registry
+from .registry import DatasetRegistry, default_registry
 from .resilience import AdmissionController
 
 __all__ = [
@@ -87,7 +86,6 @@ __all__ = [
     "Response",
     "format_retry_after",
     "make_app",
-    "run_with_deadline",
 ]
 
 _logger = logging.getLogger("repro.service")
@@ -134,10 +132,6 @@ GET_ROUTES = {
     "/trends": handle_trends,
 }
 
-LEGACY_MODES = ("serve", "gone")
-"""``--legacy-routes`` values: keep answering unversioned paths with
-deprecation headers, or retire them with 410 + a ``v1_path`` pointer."""
-
 _METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
@@ -168,19 +162,13 @@ class Request:
 
 @dataclass
 class Response:
-    """What the transport must write back: status, body, framing hints.
-
-    ``headers`` carries extra response headers the app decided on (today:
-    the ``Deprecation``/``Sunset`` pair on legacy unversioned paths); the
-    transport writes them mechanically after its own framing headers.
-    """
+    """What the transport must write back: status, body, framing hints."""
 
     status: int
     body: bytes
     content_type: str = "application/json"
     retry_after: float | None = None
     close: bool = False
-    headers: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -191,8 +179,8 @@ class BodyPlan:
     body, or — on a rejection — discard ``drain`` bytes (marking the
     connection for close if the drain fails), set ``close`` when the
     framing is beyond repair, and deliver ``error`` via
-    ``Request.framing_error``.  Keeping the decision here means both
-    transports resync keep-alive connections identically.
+    ``Request.framing_error``.  Keeping the decision here keeps socket
+    code free of request policy.
     """
 
     read: int = 0
@@ -242,57 +230,8 @@ def _internal_error_body(error: BaseException) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Deadline execution (legacy guard-thread model, used by the threaded
-# transport; the asyncio transport uses the app's bounded executor)
+# Deadline errors
 # ----------------------------------------------------------------------
-
-
-def run_with_deadline(fn, timeout: float | None, metrics: ServiceMetrics | None = None):
-    """Run ``fn`` on a guard thread, raising 503 after ``timeout`` seconds.
-
-    When the deadline fires, the worker thread is *abandoned*, not killed:
-    it keeps running (a successful late result still warms caches), the
-    ``abandoned_requests`` counter is bumped, and — the part that used to be
-    silently discarded — any exception the abandoned worker eventually
-    raises is logged under ``repro.service``.  The abandoned flag is flipped
-    under a lock shared with the worker's error path so a failure racing the
-    deadline is reported on exactly one side, never dropped.
-    """
-    if not timeout or timeout <= 0:
-        return fn()
-    outcome: dict = {}
-    done = threading.Event()
-    lock = threading.Lock()
-    state = {"abandoned": False}
-
-    def worker() -> None:
-        try:
-            value = fn()
-            with lock:
-                outcome["value"] = value
-        except BaseException as error:  # propagated to the request thread
-            with lock:
-                outcome["error"] = error
-                if state["abandoned"]:
-                    _log_abandoned_failure(error)
-        finally:
-            done.set()
-
-    threading.Thread(target=worker, daemon=True).start()
-    if done.wait(timeout):
-        if "error" in outcome:
-            raise outcome["error"]
-        return outcome["value"]
-    with lock:
-        state["abandoned"] = True
-        late_error = outcome.get("error")
-    if metrics is not None:
-        metrics.record_abandoned()
-    if late_error is not None:
-        # The worker failed in the instant between the wait expiring and the
-        # abandon flag being set; report it here instead.
-        _log_abandoned_failure(late_error)
-    raise _deadline_error(timeout)
 
 
 def _deadline_error(timeout: float) -> RequestTimeout:
@@ -318,11 +257,10 @@ def _log_abandoned_failure(error: BaseException) -> None:
 class FBoxApp:
     """The transport-agnostic F-Box service: routing, policy, execution.
 
-    One instance is shared by every connection of whichever transport
-    fronts it; all state (context, executor, drain flag) is internally
-    synchronized.  ``max_body_bytes`` / ``max_drain_bytes`` are instance
-    attributes so tests can tighten framing limits per-app instead of
-    monkeypatching module globals.
+    One instance is shared by every connection; all state (context,
+    executor, drain flag) is internally synchronized.  ``max_body_bytes`` /
+    ``max_drain_bytes`` are instance attributes so tests can tighten
+    framing limits per-app instead of monkeypatching module globals.
     """
 
     def __init__(
@@ -331,17 +269,11 @@ class FBoxApp:
         request_timeout: float | None = 30.0,
         executor_workers: int | None = None,
         admin_token: str | None = None,
-        legacy_routes: str = "gone",
     ) -> None:
-        if legacy_routes not in LEGACY_MODES:
-            raise ValueError(
-                f"legacy_routes must be one of {LEGACY_MODES}, got {legacy_routes!r}"
-            )
         self.context = context
         self.request_timeout = request_timeout
         self.executor_workers = executor_workers
         self.admin_token = admin_token
-        self.legacy_routes = legacy_routes
         self._register_lock = threading.Lock()
         self.max_body_bytes = 1 << 20  # 1 MiB is plenty for query parameters
         self.max_drain_bytes = 8 << 20  # past this, closing beats draining
@@ -350,6 +282,7 @@ class FBoxApp:
         self._executor: concurrent.futures.ThreadPoolExecutor | None = None
         self._executor_lock = threading.Lock()
         self._draining = False
+        self._thread_loops = threading.local()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -362,9 +295,9 @@ class FBoxApp:
     def begin_shutdown(self) -> None:
         """Stop admitting new requests; in-flight and queued ones complete.
 
-        New arrivals — on either transport — get a 503 ``shutting_down``
-        with ``Connection: close``; the transport's ``drain()`` then waits
-        for the in-flight gauge to reach zero before stopping the listener.
+        New arrivals get a 503 ``shutting_down`` with ``Connection:
+        close``; the transport's ``drain()`` then waits for the in-flight
+        gauge to reach zero before stopping the listener.
         """
         self._draining = True
 
@@ -374,12 +307,13 @@ class FBoxApp:
             executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=False)
+        self._close_thread_loop()
         router = self.context.router
         if router is not None:
             router.close()
-        # Sweep any shared-memory segments this process owns (columnar core;
-        # a no-op for the dict core).  After the router is closed no worker
-        # is left publishing, so nothing can leak into /dev/shm.
+        # Sweep the shared-memory segments this process owns.  After the
+        # router is closed no worker is left publishing, so nothing can
+        # leak into /dev/shm.
         self.context.registry.close()
 
     def _ensure_executor(self) -> concurrent.futures.ThreadPoolExecutor:
@@ -399,7 +333,7 @@ class FBoxApp:
             return self._executor
 
     # ------------------------------------------------------------------
-    # Body framing policy (shared by both transports)
+    # Body framing policy
     # ------------------------------------------------------------------
 
     def plan_body(self, length_header: str | None) -> BodyPlan:
@@ -431,16 +365,15 @@ class FBoxApp:
         return BodyPlan(read=length)
 
     # ------------------------------------------------------------------
-    # The sync surface (threaded transport)
+    # Routing
     # ------------------------------------------------------------------
 
     def canonical_path(self, path: str) -> tuple[str, bool]:
         """Strip the ``/v1`` mount point: ``(unversioned path, is_legacy)``.
 
         Routing, handlers, and metrics labels all work on the canonical
-        unversioned path, so ``/v1/quantify`` and ``/quantify`` share one
-        route entry, one cache, and one ``endpoint`` label — the version
-        prefix only decides whether deprecation headers are attached.
+        unversioned path; an unversioned request path only ever earns a
+        410 pointer (or a 404 when it names no route).
         """
         if path == API_PREFIX:
             return "/", False
@@ -450,35 +383,35 @@ class FBoxApp:
 
     def is_post_route(self, path: str) -> bool:
         """Whether a raw (possibly versioned) path maps to a POST endpoint
-        — the transports' body-read gate."""
+        — the transport's body-read gate."""
         return self.canonical_path(path)[0] in self.post_routes
 
-    def handle(self, request: Request) -> Response:
-        """Answer one request synchronously (threaded transport).
+    def handle_async(self, request: Request):
+        """Answer one request; returns an awaitable.
 
-        CPU-bound work runs under the legacy guard-thread deadline
-        (:func:`run_with_deadline`) on the calling thread's behalf.
+        GET endpoints and the cached fast path run inline (they only touch
+        synchronized in-memory state); POST query work is admitted via the
+        controller's async path and executed on the bounded thread pool
+        under an ``asyncio.wait_for`` deadline.
         """
+        return self._handle_async(request)
+
+    async def _handle_async(self, request: Request) -> Response:
         request.path, legacy = self.canonical_path(request.path)
-        if legacy:
-            retired = self._legacy_gone(request)
-            if retired is not None:
-                return self._finish(request, retired)
-        route = self._route(request)
-        if isinstance(route, Response):
-            return self._finish(request, route, legacy)
-        endpoint, run = route
-        if run is None:
-            run = lambda: self.run_post(request)  # noqa: E731
-        return self._finish(request, self._tracked(endpoint, run), legacy)
+        route = self._legacy_gone(request) if legacy else None
+        if route is None:
+            route = self._route(request)
+        if not isinstance(route, Response):
+            route = await self._tracked(*route)
+        if request.close:
+            route.close = True
+        return route
 
     def _route(self, request: Request):
-        """Shared routing: a ready :class:`Response`, or ``(endpoint, run)``.
+        """A ready :class:`Response`, or ``(endpoint, run)``.
 
-        ``run`` is a zero-argument callable returning ``(status, document)``
-        for everything except the POST query pipeline, which the sync and
-        async surfaces execute differently (guard thread vs executor) —
-        those return ``(endpoint, None)`` and are dispatched by the caller.
+        ``run`` is a zero-argument coroutine function returning
+        ``(status, document)``; :meth:`_tracked` awaits it.
         """
         if self._draining:
             return self._shutdown_response()
@@ -495,69 +428,30 @@ class FBoxApp:
                     NotFound(f"no such endpoint: GET {path}")
                 )
             params = dict(parse_qsl(query, keep_blank_values=True)) if query else None
+
             # Health, readiness, and listings are never admission-controlled:
             # a saturated pool must still answer its probes.
-            return path, lambda: handler(self.context, params)
+            async def run_get():
+                return handler(self.context, params)
+
+            return path, run_get
         if request.method == "POST":
             if request.path not in self.post_routes:
                 return self._error_response(
                     NotFound(f"no such endpoint: POST {request.path}")
                 )
-            return request.path, None
+            return request.path, lambda: self._run_post(request)
         return self._error_response(
             NotFound(f"no such endpoint: {request.method} {request.path}")
         )
 
-    def handle_async(self, request: Request):
-        """Answer one request on the event loop (asyncio transport).
-
-        Returns an awaitable.  GET endpoints and the cached fast path run
-        inline (they only touch synchronized in-memory state); POST query
-        work is admitted via the controller's async path and executed on
-        the bounded thread pool under an ``asyncio.wait_for`` deadline.
-        """
-        return self._handle_async(request)
-
-    async def _handle_async(self, request: Request) -> Response:
-        request.path, legacy = self.canonical_path(request.path)
-        if legacy:
-            retired = self._legacy_gone(request)
-            if retired is not None:
-                return self._finish(request, retired)
-        route = self._route(request)
-        if isinstance(route, Response):
-            return self._finish(request, route, legacy)
-        endpoint, run = route
-        if run is not None:
-            return self._finish(request, self._tracked(endpoint, run), legacy)
-        response = await self._tracked_async(
-            endpoint, lambda: self._run_post_async(request)
-        )
-        return self._finish(request, response, legacy)
-
-    def _finish(
-        self, request: Request, response: Response, legacy: bool = False
-    ) -> Response:
-        if request.close:
-            response.close = True
-        if legacy:
-            # RFC 8594-style deprecation signalling on unversioned paths;
-            # the response itself stays byte-identical to /v1.
-            response.headers.setdefault("Deprecation", "true")
-            response.headers.setdefault("Sunset", LEGACY_SUNSET)
-        return response
-
     def _legacy_gone(self, request: Request) -> Response | None:
-        """410 for retired unversioned paths (``--legacy-routes gone``).
+        """410 for a retired unversioned path that names a known route.
 
         Only paths that *would* route get the pointer — an unknown legacy
-        path stays an ordinary 404, so probes don't learn retired-route
-        names that never existed.  In ``serve`` mode this returns ``None``
-        and the deprecated passthrough (headers attached by
-        :meth:`_finish`) still answers.
+        path stays an ordinary 404 (``None`` here, then :meth:`_route`), so
+        probes don't learn retired-route names that never existed.
         """
-        if self.legacy_routes != "gone":
-            return None
         bare = request.path.partition("?")[0]
         known = (
             bare in self.post_routes
@@ -591,41 +485,11 @@ class FBoxApp:
         )
 
     # ------------------------------------------------------------------
-    # The tracked section (metrics parity for both surfaces)
+    # The tracked section
     # ------------------------------------------------------------------
 
-    def _tracked(self, endpoint: str, run) -> Response:
+    async def _tracked(self, endpoint: str, run) -> Response:
         """Run one request with metrics: in-flight, latency, status counts."""
-        metrics = self.context.metrics
-        metrics.request_started(endpoint)
-        started = perf_counter()
-        status = 500
-        content_type = "application/json"
-        retry_after: float | None = None
-        try:
-            status, document = run()
-            body = (
-                document if isinstance(document, bytes) else _json_bytes(document)
-            )
-            if endpoint == "/metrics":
-                content_type = _METRICS_CONTENT_TYPE
-        except ServiceError as error:
-            status = error.status
-            retry_after = error.retry_after
-            if isinstance(error, RequestTimeout):
-                metrics.record_timeout()
-            body = _error_body(error)
-        except Exception as error:  # pragma: no cover - defensive
-            status = 500
-            body = _internal_error_body(error)
-        # Count the request before its bytes reach the socket: a client that
-        # reads its response and immediately scrapes /metrics must find the
-        # request already recorded.
-        metrics.request_finished(endpoint, status, perf_counter() - started)
-        return Response(status, body, content_type, retry_after=retry_after)
-
-    async def _tracked_async(self, endpoint: str, run) -> Response:
-        """The :meth:`_tracked` twin for the asyncio surface."""
         metrics = self.context.metrics
         metrics.request_started(endpoint)
         started = perf_counter()
@@ -648,6 +512,9 @@ class FBoxApp:
         except Exception as error:  # pragma: no cover - defensive
             status = 500
             body = _internal_error_body(error)
+        # Count the request before its bytes reach the socket: a client that
+        # reads its response and immediately scrapes /metrics must find the
+        # request already recorded.
         metrics.request_finished(endpoint, status, perf_counter() - started)
         return Response(status, body, content_type, retry_after=retry_after)
 
@@ -706,10 +573,9 @@ class FBoxApp:
     def _execute_shard(self, path: str, payload) -> dict:
         """One POST on the sharded path: front-side read, else route.
 
-        With the columnar core, ``/quantify`` and ``/compare`` are answered
-        on the front by *attaching* to the owning worker's published
-        shared-memory segment — the worker roundtrip (and its queue) is
-        skipped entirely.  Anything the segment cannot answer — other
+        ``/quantify`` and ``/compare`` are answered on the front by
+        *attaching* to the owning worker's published shared-memory segment
+        — the worker roundtrip (and its queue) is skipped entirely.  Anything the segment cannot answer — other
         endpoints, nothing published yet, a racing re-publish, a payload
         error — signals :class:`SegmentMiss` and falls back to the worker,
         whose response is byte-identical.  Chaos runs (an attached fault
@@ -739,8 +605,22 @@ class FBoxApp:
             generation = document.get("generation")
             if isinstance(dataset, str) and isinstance(generation, int):
                 self.context.registry.sync_generation(dataset, generation)
-        self._warm_stale(path, payload, document)
+        if path == "/batch":
+            self._warm_batch(payload, document)
+        else:
+            self._warm_stale(path, payload, document)
         return document
+
+    def _warm_batch(self, payload, document) -> None:
+        """Mirror a routed batch's answers item by item, exactly as the
+        worker cached them, so a follow-up single request is a front-side
+        hit like it would be in-process."""
+        items = payload.get("requests") if isinstance(payload, dict) else payload
+        if not isinstance(items, list) or not isinstance(document, dict):
+            return
+        for item, result in zip(items, document.get("results", ())):
+            if isinstance(item, dict) and result.get("status") == 200:
+                self._warm_stale(f"/{item['op']}", item, result["body"])
 
     def _warm_stale(self, path: str, payload, document) -> None:
         if not isinstance(document, dict) or document.get("degraded"):
@@ -755,9 +635,9 @@ class FBoxApp:
         stored = {key: value for key, value in document.items() if key != "cached"}
         self.context.stale.put(parsed.stale_key, (stored, parsed.generation))
         # Mirror into the result cache too: a repeat of this request is then
-        # a front-side hit ("cached": true) on every backend, which keeps
-        # responses byte-identical whether the repeat would have been served
-        # by the worker's cache (dict core) or a segment read (columnar).
+        # a front-side hit ("cached": true), which keeps responses
+        # byte-identical whether the repeat would have been served by the
+        # worker's cache or a segment read.
         self.context.cache.put(parsed.key, stored)
 
     def _require_admin(self, request: Request) -> None:
@@ -862,62 +742,43 @@ class FBoxApp:
         }
 
     def run_post(self, request: Request) -> tuple[int, dict]:
-        """The sync pipeline body; raises :class:`ServiceError` on rejection."""
-        context = self.context
-        path = request.path
-        payload = self._parse_payload(request)
-        if path == "/admin/shards":
-            return 200, self._admin_shards(request, payload)
-        if path == "/datasets":
-            return 200, self._register_dataset(request, payload)
-        fast = self._fast_path(path, payload)
-        if fast is not None:
-            return 200, fast
-        if context.router is not None:
-            # The worker enforces the deadline (and raises the timeout the
-            # router relays back); wrapping the roundtrip in another guard
-            # thread would count every slow request twice.
-            run = lambda: self._execute_shard(path, payload)  # noqa: E731
-        else:
-            execute = self._execute_fn(path, payload)
-            run = lambda: run_with_deadline(  # noqa: E731
-                execute, self.request_timeout, context.metrics
-            )
+        """Drive one POST through :meth:`_run_post` on the calling thread.
 
-        def admitted():
-            if context.admission is None:
-                return run()
-            with context.admission.admit():
-                return run()
+        For callers that own no event loop (a shard worker's connection
+        threads): each thread runs the coroutine on a private loop created
+        on first use; :meth:`_close_thread_loop` releases it.
+        """
+        loop = getattr(self._thread_loops, "loop", None)
+        if loop is None:
+            loop = self._thread_loops.loop = asyncio.new_event_loop()
+        return loop.run_until_complete(self._run_post(request))
 
-        try:
-            return 200, admitted()
-        except (RequestTimeout, CircuitOpen) as error:
-            # Graceful degradation: requests that opted in with
-            # ``allow_stale`` get the last-known-good answer, loudly
-            # marked, instead of the error.
-            degraded = resolve_degraded(context, path, payload, reason=error.kind)
-            if degraded is None:
-                raise
-            return 200, degraded
+    def _close_thread_loop(self) -> None:
+        loop = getattr(self._thread_loops, "loop", None)
+        if loop is not None:
+            self._thread_loops.loop = None
+            loop.close()
 
-    async def _run_post_async(self, request: Request) -> tuple[int, dict]:
-        """The async pipeline body: same decisions, executor-bound work."""
+    async def _run_post(self, request: Request) -> tuple[int, dict]:
+        """The POST pipeline body; raises :class:`ServiceError` on rejection.
+
+        The sharded front and every shard worker run this same coroutine:
+        the front routes (the worker owns the deadline, so the roundtrip
+        has none here), the worker executes in-process under the deadline.
+        """
         context = self.context
         path = request.path
         payload = self._parse_payload(request)
         if path == "/admin/shards":
             # A resize blocks on worker sockets for seconds; keep the loop
             # free by running it on the pool like any routed call.
-            admin = lambda: self._admin_shards(request, payload)  # noqa: E731
-            return 200, await asyncio.wrap_future(
-                self._ensure_executor().submit(admin)
+            return 200, await self._on_pool(
+                lambda: self._admin_shards(request, payload)
             )
         if path == "/datasets":
             # Registration broadcasts over worker sockets; same pool hop.
-            register = lambda: self._register_dataset(request, payload)  # noqa: E731
-            return 200, await asyncio.wrap_future(
-                self._ensure_executor().submit(register)
+            return 200, await self._on_pool(
+                lambda: self._register_dataset(request, payload)
             )
         fast = self._fast_path(path, payload)
         if fast is not None:
@@ -925,10 +786,10 @@ class FBoxApp:
         if context.router is not None:
             # Routed calls block on a worker socket, not the CPU: run them
             # on the pool to keep the loop free, but with no wait_for —
-            # the worker owns the deadline (see run_post).
-            routed = lambda: self._execute_shard(path, payload)  # noqa: E731
-            execute_async = lambda: asyncio.wrap_future(  # noqa: E731
-                self._ensure_executor().submit(routed)
+            # the worker owns the deadline, and a second one here would
+            # count every slow request twice.
+            execute_async = lambda: self._on_pool(  # noqa: E731
+                lambda: self._execute_shard(path, payload)
             )
         else:
             execute = self._execute_fn(path, payload)
@@ -942,19 +803,26 @@ class FBoxApp:
             finally:
                 context.admission.release()
         except (RequestTimeout, CircuitOpen) as error:
+            # Graceful degradation: requests that opted in with
+            # ``allow_stale`` get the last-known-good answer, loudly
+            # marked, instead of the error.
             degraded = resolve_degraded(context, path, payload, reason=error.kind)
             if degraded is None:
                 raise
             return 200, degraded
 
+    def _on_pool(self, fn) -> asyncio.Future:
+        """``fn`` on the bounded pool, as an awaitable with no deadline."""
+        return asyncio.wrap_future(self._ensure_executor().submit(fn))
+
     async def _execute_async(self, execute):
         """Run ``execute`` on the bounded pool under the request deadline.
 
-        On timeout the pool task is *abandoned*, exactly like the guard
-        thread: it keeps running (a late success still warms caches), the
-        abandoned counter is bumped, and a late failure is logged once via
-        a done-callback (which fires immediately if the failure already
-        happened — the same race the guard-thread lock protocol closes).
+        On timeout the pool task is *abandoned*, not killed: it keeps
+        running (a late success still warms caches), the abandoned counter
+        is bumped, and a late failure is logged once via a done-callback
+        (which fires immediately if the failure already happened, so a
+        failure racing the deadline is never dropped).
         """
         timeout = self.request_timeout
         future = self._ensure_executor().submit(execute)
@@ -994,7 +862,7 @@ class FBoxApp:
     # /metrics
     # ------------------------------------------------------------------
 
-    def _metrics_response(self) -> tuple[int, bytes]:
+    async def _metrics_response(self) -> tuple[int, bytes]:
         context = self.context
         cache_stats = dict(context.cache.stats())
         build_counts = dict(context.registry.build_counts())
@@ -1002,7 +870,7 @@ class FBoxApp:
         fault_stats = (
             context.faults.snapshot() if context.faults is not None else None
         )
-        # Ingest/alert counters ride in extra_counters on every backend:
+        # Ingest/alert counters ride in extra_counters on both backends:
         # in-process they are this context's manager totals; under sharding
         # the workers' counters are summed on top below.
         extra_counters = dict(context.ingest.counters())
@@ -1063,9 +931,7 @@ def make_app(
     executor_workers: int | None = None,
     shards: int = 0,
     alert_threshold: float | None = None,
-    core: str = "dict",
     admin_token: str | None = None,
-    legacy_routes: str = "gone",
 ) -> FBoxApp:
     """Build a ready-to-serve application (no sockets involved).
 
@@ -1074,31 +940,23 @@ def make_app(
     ``FBOX_FAULTS`` environment variable configures (usually nothing); when
     an injector is attached it is also shared with the registry so
     ``dataset_load`` rules reach the loaders.  ``executor_workers`` sizes
-    the bounded execution pool used by the asyncio transport (default: the
-    admission concurrency cap).  ``shards > 0`` puts a
-    :class:`~repro.service.sharding.ShardRouter` in front of that many
-    worker processes — each owns the cubes for a deterministic subset of
-    datasets — while ``0`` keeps the in-process execution path; responses
-    are byte-identical either way.  ``alert_threshold`` arms fairness-trend
-    alerting: any cell recomputed by an ingest whose value reaches the
-    threshold increments ``fbox_fairness_alerts_total``.  ``core`` selects
-    the F-Box storage engine: ``"dict"`` (reference) or ``"columnar"``
-    (flat numpy blocks in shared-memory segments; under sharding the front
-    answers ``/quantify``/``/compare`` by attaching to the owning worker's
-    segment, and restarted workers re-attach instead of rebuilding).
+    the bounded execution pool (default: the admission concurrency cap).
+    ``shards > 0`` puts a :class:`~repro.service.sharding.ShardRouter` in
+    front of that many worker processes — each owns the cubes for a
+    deterministic subset of datasets, and the front answers
+    ``/quantify``/``/compare`` by attaching to the owning worker's
+    shared-memory segment — while ``0`` keeps the in-process execution
+    path; responses are byte-identical either way.  ``alert_threshold``
+    arms fairness-trend alerting: any cell recomputed by an ingest whose
+    value reaches the threshold increments ``fbox_fairness_alerts_total``.
     ``admin_token`` arms authentication for ``POST /v1/admin/shards`` (the
     live pool resize); unset, the admin surface is open — fine for local
-    development, not for anything shared.  ``legacy_routes`` decides what
-    unversioned paths get: ``"gone"`` (default) answers 410 with a
-    ``v1_path`` pointer, ``"serve"`` keeps the deprecated passthrough with
-    ``Deprecation``/``Sunset`` headers.
+    development, not for anything shared.
     """
-    if core not in CORES:
-        raise ValueError(f"core must be one of {CORES}, got {core!r}")
     if registry is None:
         if faults is None:
             faults = faults_from_env()
-        registry = default_registry(faults=faults, core=core)
+        registry = default_registry(faults=faults)
     else:
         # One injector end-to-end: reuse the registry's if it has one, else
         # share ours (or the env's) with it so dataset_load rules land.
@@ -1108,16 +966,13 @@ def make_app(
             )
         if registry.faults is None:
             registry.faults = faults
-        if core == "columnar":
-            registry.enable_columnar()
     router = None
     if shards > 0:
         from .sharding import ShardRouter
 
-        if registry.core == "columnar":
-            # Materialize the segment namespace *before* the workers fork so
-            # they all publish into the front's space (attachable reads).
-            registry.segments
+        # Materialize the segment namespace *before* the workers fork so
+        # they all publish into the front's space (attachable reads).
+        registry.segments
         router = ShardRouter(
             registry,
             shards=shards,
@@ -1126,7 +981,6 @@ def make_app(
             cache_ttl=cache_ttl,
             faults=faults,
             alert_threshold=alert_threshold,
-            core=registry.core,
             namespace=registry.namespace,
         )
     admission = None
@@ -1153,5 +1007,4 @@ def make_app(
         request_timeout=request_timeout,
         executor_workers=executor_workers,
         admin_token=admin_token,
-        legacy_routes=legacy_routes,
     )

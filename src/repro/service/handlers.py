@@ -72,10 +72,11 @@ __all__ = [
 API_VERSION = "v1"
 API_PREFIX = "/v1"
 """The current API version mount point: every endpoint answers at
-``/v1/<endpoint>``.  The unversioned paths still work but are deprecated."""
+``/v1/<endpoint>``.  Unversioned paths are retired: known routes answer
+410 ``gone`` with a ``v1_path`` pointer."""
 
 LEGACY_SUNSET = "Thu, 31 Dec 2026 23:59:59 GMT"
-"""The ``Sunset`` date legacy (unversioned) responses advertise."""
+"""The retirement date ``/v1/schema`` advertises for unversioned paths."""
 
 _DIMENSIONS = ("group", "query", "location")
 _ORDERS = ("most", "least")
@@ -646,15 +647,14 @@ def handle_front_read(context: ServiceContext, path: str, payload) -> dict:
     the owning worker's published columnar segment — no worker roundtrip.
 
     Raises :class:`~repro.core.colstore.SegmentMiss` whenever the request
-    cannot be served this way: a non-read endpoint, the dict core (no
-    segment space), nothing published yet for the ``(dataset, measure)``,
+    cannot be served this way: a non-read endpoint, nothing published yet
+    for the ``(dataset, measure)``,
     or a payload that fails validation — error responses must come from the
     routed path so fronted and routed answers stay byte-identical.
     """
     from ..core.colstore import AttachedFBox, SegmentMiss
 
-    space = getattr(context.registry, "segments", None)
-    if space is None or path not in _FRONT_READ_PATHS:
+    if path not in _FRONT_READ_PATHS:
         raise SegmentMiss(f"no front-side read for {path}")
     parser = _DEGRADED_PARSERS[path]
     try:
@@ -663,7 +663,9 @@ def handle_front_read(context: ServiceContext, path: str, payload) -> dict:
         raise SegmentMiss(
             "payload must be validated by the owning worker"
         ) from error
-    fbox = AttachedFBox.attach(space, request.dataset, request.measure)
+    fbox = AttachedFBox.attach(
+        context.registry.segments, request.dataset, request.measure
+    )
     if path == "/quantify":
         compute = lambda: _front_quantify(context, request, fbox)  # noqa: E731
     else:
@@ -1136,10 +1138,8 @@ def service_schema() -> dict:
         "legacy": {
             "deprecated": True,
             "sunset": LEGACY_SUNSET,
-            "note": "unversioned paths are retired: the default "
-            "--legacy-routes gone answers 410 with a v1_path pointer; "
-            "--legacy-routes serve restores the deprecated passthrough "
-            "(Deprecation: true and Sunset headers) for stragglers",
+            "note": "unversioned paths are retired: known routes answer "
+            "410 with a v1_path pointer",
         },
         "endpoints": [
             endpoint(

@@ -225,8 +225,8 @@ class IngestManager:
         # Latest accepted observation per (query, location), re-encoded to
         # the API payload shape.  Replaying the journal onto the dataset's
         # deterministic base load reproduces the live state exactly — this
-        # is what a shard migration ships for the dict core (the columnar
-        # core additionally hands over its shared-memory segments in O(1)).
+        # is what a shard migration ships (alongside the O(1) handoff of
+        # the dataset's shared-memory segments).
         self._journals: dict[str, OrderedDict[tuple[str, str], dict]] = {}
         self._rings: dict[str, deque] = {}
         self._alerts: dict[str, int] = {}

@@ -3,7 +3,11 @@
 A :class:`DatasetSpec` describes how to obtain one named dataset (load a
 saved JSONL file or synthesize from a seed); the :class:`DatasetRegistry`
 materializes each dataset **once** and hands out one shared
-:class:`~repro.core.fbox.FBox` per ``(dataset, measure)`` pair.  Both levels
+:class:`~repro.core.colstore.ColumnarFBox` per ``(dataset, measure)`` pair,
+published into a shared-memory :class:`~repro.core.colstore.SegmentSpace`
+so sharded fronts and restarted workers can attach instead of rebuilding.
+The dict :class:`~repro.core.fbox.FBox` stays the reference algorithm and
+test oracle; the service never serves it.  Both levels
 use double-checked locking **per dataset**: under concurrent first-touch
 traffic every dataset is built by exactly one thread and every cube/index
 family exactly once (the FBox itself locks its lazy builds), while builds of
@@ -33,7 +37,6 @@ from typing import Callable
 
 from ..core.attributes import default_schema
 from ..core.colstore import ColumnarFBox, SegmentSpace
-from ..core.fbox import FBox
 from ..core.measures.base import default_measure_for_site
 from ..data.io import load_marketplace_dataset, load_search_dataset
 from ..exceptions import ReproError
@@ -46,11 +49,7 @@ __all__ = [
     "DatasetRegistry",
     "default_registry",
     "SMALL_CITIES",
-    "CORES",
 ]
-
-CORES = ("dict", "columnar")
-"""The two interchangeable storage cores; ``dict`` is the reference one."""
 
 
 def _default_namespace() -> str:
@@ -117,7 +116,12 @@ class DatasetSpec:
 
 
 class DatasetRegistry:
-    """Thread-safe home of datasets and their shared F-Boxes."""
+    """Thread-safe home of datasets and their shared F-Boxes.
+
+    Every F-Box publishes shared-memory segments under ``/dev/shm``, which
+    bypass Python's resource tracker: an owning registry (the default) must
+    be closed (:meth:`close`) to unlink them.
+    """
 
     def __init__(
         self,
@@ -125,19 +129,15 @@ class DatasetRegistry:
         breaker_config: BreakerConfig | None = None,
         faults: FaultInjector | None = None,
         clock=time.monotonic,
-        core: str = "dict",
         namespace: str | None = None,
         owns_segments: bool = True,
     ) -> None:
-        if core not in CORES:
-            raise ReproError(f"core must be one of {CORES}, got {core!r}")
         self.schema = schema if schema is not None else default_schema()
         self.breaker_config = (
             breaker_config if breaker_config is not None else BreakerConfig()
         )
         self.faults = faults
         self._clock = clock
-        self.core = core
         self._namespace = namespace
         self._segments: SegmentSpace | None = None
         # Shard workers publish into the front's namespace but must not
@@ -151,7 +151,7 @@ class DatasetRegistry:
         # folds it in right after the base loader runs — the import itself
         # stays O(journal) instead of forcing an eager build.
         self._pending: dict[str, dict[tuple[str, str], object]] = {}
-        self._fboxes: dict[tuple[str, str], FBox] = {}
+        self._fboxes: dict[tuple[str, str], ColumnarFBox] = {}
         self._generations: dict[str, int] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
         self._building: set[str] = set()
@@ -162,23 +162,9 @@ class DatasetRegistry:
         self._lock = threading.RLock()
         self._dataset_locks: dict[str, threading.RLock] = {}
 
-    def enable_columnar(self, namespace: str | None = None) -> None:
-        """Switch this registry to the columnar core (before any F-Box build).
-
-        ``namespace`` joins an existing segment space (the sharded front
-        hands every worker its token); omitted, a fresh private one is
-        generated on first use.
-        """
-        self.core = "columnar"
-        if namespace is not None:
-            self._namespace = namespace
-            self._segments = None
-
     @property
-    def segments(self) -> SegmentSpace | None:
-        """The shared-memory segment space (columnar core only)."""
-        if self.core != "columnar":
-            return None
+    def segments(self) -> SegmentSpace:
+        """The shared-memory segment space (created on first use)."""
         with self._lock:
             if self._segments is None:
                 if self._namespace is None:
@@ -192,11 +178,14 @@ class DatasetRegistry:
         return self._namespace
 
     def close(self) -> None:
-        """Release owned shared-memory segments (no-op for the dict core)."""
-        with self._lock:
-            space = self._segments
-        if space is not None and self._owns_segments:
-            space.close()
+        """Release owned shared-memory segments.
+
+        The space is closed even when nothing was published yet, so a build
+        that finishes after this call (a request abandoned at its deadline)
+        unlinks what it publishes instead of leaking it.
+        """
+        if self._owns_segments:
+            self.segments.close()
 
     def _dataset_lock(self, name: str) -> threading.RLock:
         """The build lock for one dataset (created on first use, kept
@@ -220,13 +209,10 @@ class DatasetRegistry:
         # before swapping the spec, so a stale build can never land *after*
         # its dataset was replaced.  Builds of other datasets are unaffected.
         with self._dataset_lock(spec.name):
-            replacing = self.generation(spec.name) > 0
-            if replacing and self.core == "columnar":
+            if self.generation(spec.name) > 0:
                 # Published segments describe the *old* dataset; a cold
                 # attach against the replacement must miss, not adopt them.
-                space = self.segments
-                if space is not None:
-                    space.clear(dataset=spec.name)
+                self.segments.clear(dataset=spec.name)
             with self._lock:
                 self._specs[spec.name] = spec
                 self._datasets.pop(spec.name, None)
@@ -278,14 +264,11 @@ class DatasetRegistry:
                 )
                 delta["cells_recomputed"] += stats["cells_recomputed"]
                 delta["lists_rebuilt"] += stats["lists_rebuilt"]
-            if self.core == "columnar":
-                # Live F-Boxes just republished their segments; any other
-                # segment for this dataset (e.g. published before a process
-                # restart) no longer reflects its state — drop it so a cold
-                # attach rebuilds instead of adopting stale values.
-                space = self.segments
-                if space is not None:
-                    space.clear(dataset=name, keep_measures=list(live))
+            # Live F-Boxes just republished their segments; any other
+            # segment for this dataset (e.g. published before a process
+            # restart) no longer reflects its state — drop it so a cold
+            # attach rebuilds instead of adopting stale values.
+            self.segments.clear(dataset=name, keep_measures=list(live))
             with self._lock:
                 self._generations[name] = self._generations.get(name, 0) + 1
                 generation = self._generations[name]
@@ -326,7 +309,7 @@ class DatasetRegistry:
             pending = self._pending.pop(name, None)
         return list(pending.values()) if pending else []
 
-    def live_fboxes(self, name: str) -> dict[str, FBox]:
+    def live_fboxes(self, name: str) -> dict[str, ColumnarFBox]:
         """The live F-Boxes for ``name``, keyed by measure."""
         with self._lock:
             return {
@@ -407,7 +390,7 @@ class DatasetRegistry:
         with self._lock:
             return [measure for (n, measure) in self._fboxes if n == name]
 
-    def fbox(self, name: str, measure: str | None = None) -> FBox:
+    def fbox(self, name: str, measure: str | None = None) -> ColumnarFBox:
         """The shared FBox for ``(name, measure)``, built exactly once.
 
         An invalid measure surfaces as :class:`Unprocessable` so the HTTP
@@ -427,20 +410,16 @@ class DatasetRegistry:
                     breaker.allow()
                     with self._lock:
                         self._building.add(name)
-                    box_class = ColumnarFBox if self.core == "columnar" else FBox
                     try:
                         if spec.site == "taskrabbit":
-                            fbox = box_class.for_marketplace(
+                            fbox = ColumnarFBox.for_marketplace(
                                 dataset, self.schema, measure=measure
                             )
                         else:
-                            fbox = box_class.for_search(
+                            fbox = ColumnarFBox.for_search(
                                 dataset, self.schema, measure=measure
                             )
-                        if self.core == "columnar":
-                            space = self.segments
-                            if space is not None:
-                                fbox.bind_segment(space, name, measure)
+                        fbox.bind_segment(self.segments, name, measure)
                     except ServiceError:
                         breaker.record_bypass()
                         raise
@@ -515,9 +494,7 @@ class DatasetRegistry:
             "delta_applies": sum(fbox.delta_applies for fbox in fboxes),
             "delta_cells": sum(fbox.cells_recomputed for fbox in fboxes),
             "delta_lists": sum(fbox.lists_rebuilt for fbox in fboxes),
-            "segment_attaches": sum(
-                getattr(fbox, "segment_attaches", 0) for fbox in fboxes
-            ),
+            "segment_attaches": sum(fbox.segment_attaches for fbox in fboxes),
         }
 
     def describe(self) -> list[dict]:
@@ -554,7 +531,6 @@ def default_registry(
     google_path: str | None = None,
     breaker_config: BreakerConfig | None = None,
     faults: FaultInjector | None = None,
-    core: str = "dict",
 ) -> DatasetRegistry:
     """The registry ``repro serve`` boots with: one TaskRabbit, one Google.
 
@@ -587,9 +563,7 @@ def default_registry(
         google_loader = lambda: build_google_dataset(seed=seed, design=design)
         google_description = f"simulated study (seed={seed}, design={design})"
 
-    registry = DatasetRegistry(
-        breaker_config=breaker_config, faults=faults, core=core
-    )
+    registry = DatasetRegistry(breaker_config=breaker_config, faults=faults)
     registry.register(
         DatasetSpec(
             name="taskrabbit",

@@ -1,18 +1,14 @@
-"""Service wiring: build an app, pick a transport, run it until SIGTERM.
+"""Service wiring: build an app, put the asyncio front on it, run until SIGTERM.
 
-The heavy lifting moved out of this module: request policy lives in
-:mod:`repro.service.app` (the transport-agnostic application layer) and the
-HTTP fronts live in :mod:`repro.service.transports` — ``threaded`` (the
-original thread-per-connection server) and ``aio`` (the asyncio front).
-What remains here is the composition root: :func:`make_server` builds an
-:class:`~repro.service.app.FBoxApp` and wraps it in the requested backend;
+Request policy lives in :mod:`repro.service.app` (the transport-agnostic
+application layer) and the HTTP front in
+:mod:`repro.service.transports.aio`.  What remains here is the composition
+root: :func:`make_server` builds an :class:`~repro.service.app.FBoxApp` and
+wraps it in :class:`~repro.service.transports.aio.FBoxHTTPServer`;
 :func:`serve` is the blocking entry point behind ``repro serve`` that
 installs SIGTERM/SIGINT handlers which *drain* — new arrivals get 503 +
 ``Connection: close`` while admitted and queued requests finish — before
 the listener stops.
-
-``FBoxServer``, ``make_app``, and ``run_with_deadline`` are re-exported
-for compatibility with existing imports.
 """
 
 from __future__ import annotations
@@ -21,26 +17,14 @@ import logging
 import signal
 import threading
 
-from .app import FBoxApp, make_app, run_with_deadline
+from .app import make_app
 from .faults import FaultInjector
 from .registry import DatasetRegistry
-from .transports.aio import AioFBoxServer
-from .transports.threaded import FBoxServer
+from .transports.aio import FBoxHTTPServer
 
-__all__ = [
-    "AioFBoxServer",
-    "BACKENDS",
-    "FBoxServer",
-    "make_app",
-    "make_server",
-    "run_with_deadline",
-    "serve",
-]
+__all__ = ["FBoxHTTPServer", "make_app", "make_server", "serve"]
 
 _logger = logging.getLogger("repro.service")
-
-BACKENDS = ("threads", "asyncio")
-"""Transport choices for ``make_server``/``serve``/``repro serve --backend``."""
 
 
 def make_server(
@@ -54,30 +38,20 @@ def make_server(
     queue_depth: int = 16,
     faults: FaultInjector | None = None,
     quiet: bool = True,
-    backend: str = "threads",
     executor_workers: int | None = None,
     shards: int = 0,
     alert_threshold: float | None = None,
-    core: str = "dict",
     admin_token: str | None = None,
-    legacy_routes: str = "gone",
-) -> FBoxServer | AioFBoxServer:
+) -> FBoxHTTPServer:
     """Build a ready-to-serve F-Box server (``port=0`` picks an ephemeral one).
 
-    ``backend`` selects the transport: ``"threads"`` (one OS thread per
-    connection, the legacy model) or ``"asyncio"`` (one event loop, CPU
-    work on the app's bounded executor sized by ``executor_workers``).
-    Both fronts share the same application, so every endpoint, error path,
-    and resilience behavior is identical.  ``shards`` selects the execution
-    backend behind either front: ``0`` executes in-process (today's model),
-    ``N > 0`` spreads dataset ownership across ``N`` worker processes for
-    real CPU parallelism.  ``core`` selects the F-Box storage engine —
-    ``"dict"`` (reference) or ``"columnar"`` (flat numpy blocks in
-    shared-memory segments).  See :func:`repro.service.app.make_app` for
-    the remaining knobs.
+    One event loop answers every connection; CPU work runs on the app's
+    bounded executor sized by ``executor_workers``.  ``shards`` selects
+    the execution backend behind it: ``0`` executes in-process, ``N > 0``
+    spreads dataset ownership across ``N`` worker processes for real CPU
+    parallelism.  See :func:`repro.service.app.make_app` for the remaining
+    knobs.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     app = make_app(
         registry=registry,
         cache_size=cache_size,
@@ -89,13 +63,9 @@ def make_server(
         executor_workers=executor_workers,
         shards=shards,
         alert_threshold=alert_threshold,
-        core=core,
         admin_token=admin_token,
-        legacy_routes=legacy_routes,
     )
-    if backend == "asyncio":
-        return AioFBoxServer((host, port), app, quiet=quiet)
-    return FBoxServer((host, port), app, quiet=quiet)
+    return FBoxHTTPServer((host, port), app, quiet=quiet)
 
 
 def serve(
@@ -109,14 +79,11 @@ def serve(
     queue_depth: int = 16,
     preload: bool = False,
     quiet: bool = False,
-    backend: str = "threads",
     executor_workers: int | None = None,
     drain_grace: float = 10.0,
     shards: int = 0,
     alert_threshold: float | None = None,
-    core: str = "dict",
     admin_token: str | None = None,
-    legacy_routes: str = "gone",
 ) -> int:
     """Run the service until SIGTERM/SIGINT; returns a process exit code.
 
@@ -139,13 +106,10 @@ def serve(
         max_concurrency=max_concurrency,
         queue_depth=queue_depth,
         quiet=quiet,
-        backend=backend,
         executor_workers=executor_workers,
         shards=shards,
         alert_threshold=alert_threshold,
-        core=core,
         admin_token=admin_token,
-        legacy_routes=legacy_routes,
     )
     if preload:
         context = server.context
@@ -170,10 +134,9 @@ def serve(
         sig: signal.signal(sig, _shutdown) for sig in (signal.SIGTERM, signal.SIGINT)
     }
     datasets = ", ".join(server.context.registry.names()) or "none"
-    mode = f"backend: {backend}" + (f", shards: {shards}" if shards else "")
+    mode = f"shards: {shards}, " if shards else ""
     print(
-        f"F-Box service listening on {server.url} "
-        f"({mode}, datasets: {datasets})",
+        f"F-Box service listening on {server.url} ({mode}datasets: {datasets})",
         flush=True,
     )
     try:

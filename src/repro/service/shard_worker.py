@@ -10,12 +10,15 @@ state handoff: the router snapshots a moving dataset's journal, ledger,
 high-water sequence, and trend ring from its old owner and replays them
 into the new one before flipping routing.
 
-``call`` runs the untouched single-process POST pipeline —
-:meth:`repro.service.app.FBoxApp.run_post` against a worker-local
+``call`` runs the single-process POST pipeline — the same coroutine the
+front's event loop awaits, driven here by
+:meth:`repro.service.app.FBoxApp.run_post` on an event loop owned by the
+connection thread, against a worker-local
 :class:`~repro.service.handlers.ServiceContext` — so parsing, validation,
-caching, breaker accounting, deadline enforcement, and degraded stale
-answers behave byte-for-byte like the unsharded service.  Admission control
-stays front-side (the router is one logical service; shedding twice would
+caching, breaker accounting, deadline enforcement (the app's bounded pool
+under ``asyncio.wait_for``), and degraded stale answers behave
+byte-for-byte like the unsharded service.  Admission control stays
+front-side (the router is one logical service; shedding twice would
 double-count), which is why the worker's context has no controller.
 
 Chaos hooks: a ``worker_exit`` fault rule firing for the request path makes
@@ -70,7 +73,6 @@ class WorkerConfig:
     breaker_config: BreakerConfig
     exit_faults_consumed: int = 0
     alert_threshold: float | None = None
-    core: str = "dict"
     namespace: str | None = None
 
 
@@ -97,7 +99,6 @@ def _build_app(
         schema=config.schema,
         breaker_config=config.breaker_config,
         faults=faults,
-        core=config.core,
         namespace=config.namespace,
         # The front owns segment cleanup: a worker must never unlink the
         # published segments it would want to re-attach to after a restart.
@@ -325,6 +326,9 @@ def _serve_connection(
     except (OSError, ConnectionError, ValueError):
         pass  # the router dropped the connection; nothing to clean up
     finally:
+        # One thread serves one connection, one frame at a time, so its
+        # private run_post loop never has two callers; release it here.
+        app._close_thread_loop()
         try:
             sock.close()
         except OSError:

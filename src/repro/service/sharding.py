@@ -314,7 +314,6 @@ class ShardRouter:
         poll_interval: float = 0.1,
         io_grace: float = 10.0,
         alert_threshold: float | None = None,
-        core: str = "dict",
         namespace: str | None = None,
         restart_seed: int = 0,
     ) -> None:
@@ -327,7 +326,6 @@ class ShardRouter:
         self.cache_ttl = cache_ttl
         self.faults = faults
         self.alert_threshold = alert_threshold
-        self.core = core
         self.namespace = namespace
         self.poll_interval = poll_interval
         self.io_grace = io_grace
@@ -438,7 +436,6 @@ class ShardRouter:
                 breaker_config=self.registry.breaker_config,
                 exit_faults_consumed=shard.crashes,
                 alert_threshold=self.alert_threshold,
-                core=self.core,
                 namespace=self.namespace,
             )
             process = self._mp.Process(
@@ -618,7 +615,6 @@ class ShardRouter:
                 "migrated": [],
                 "noop": True,
                 "duration_seconds": 0.0,
-                "core": self.core,
             }
         _logger.warning(
             "resizing shard pool %d -> %d (%d of %d datasets move)",
@@ -700,16 +696,14 @@ class ShardRouter:
             "migrated": migrated,
             "noop": False,
             "duration_seconds": round(duration, 6),
-            "core": self.core,
-        }
-        space = self.registry.segments
-        if space is not None:
-            # Columnar handoff is O(1): the destination re-attaches the same
+            # The handoff is O(1): the destination re-attaches the same
             # shared-memory segments, so the per-dataset segment census is
             # the observable proof that no state was copied or re-published.
-            summary["segments"] = {
-                name: space.segment_count(name) for name in migrated
-            }
+            "segments": {
+                name: self.registry.segments.segment_count(name)
+                for name in migrated
+            },
+        }
         self._note_resize(
             "idle",
             dataset=None,

@@ -1,23 +1,16 @@
-"""Transport adapters: sockets in, :class:`~repro.service.app.Request` out.
+"""The transport adapter: sockets in, :class:`~repro.service.app.Request` out.
 
-Each transport is a thin shell around one shared
-:class:`~repro.service.app.FBoxApp`:
-
-* :mod:`repro.service.transports.threaded` — the original
-  ``ThreadingHTTPServer`` front: one OS thread per connection, the app's
-  sync surface, and the legacy guard-thread deadline.
-* :mod:`repro.service.transports.aio` — an ``asyncio.start_server`` front
-  with a stdlib HTTP/1.1 parser and keep-alive; CPU-bound work runs on the
-  app's bounded executor so the event loop never blocks.
-
-Both expose the same server API (``serve_forever`` / ``shutdown`` /
-``server_close`` / ``drain`` / ``url`` / ``context``) so tests, benchmarks,
-and ``serve()`` treat them interchangeably.
+:mod:`repro.service.transports.aio` is the service's one HTTP front: an
+``asyncio.start_server`` loop with a stdlib HTTP/1.1 parser and keep-alive.
+It is a thin shell around one shared :class:`~repro.service.app.FBoxApp`;
+CPU-bound work runs on the app's bounded executor so the event loop never
+blocks.  The server API (``serve_forever`` / ``shutdown`` /
+``server_close`` / ``drain`` / ``url`` / ``context``) is what tests,
+benchmarks, and ``serve()`` drive.
 """
 
 from __future__ import annotations
 
-__all__ = ["AioFBoxServer", "FBoxServer"]
+__all__ = ["FBoxHTTPServer"]
 
-from .aio import AioFBoxServer
-from .threaded import FBoxServer
+from .aio import FBoxHTTPServer

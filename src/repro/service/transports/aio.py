@@ -1,4 +1,4 @@
-"""The asyncio transport: ``asyncio.start_server`` fronting the app.
+"""The HTTP transport: ``asyncio.start_server`` fronting the app.
 
 One event loop handles every connection; the stdlib-only HTTP/1.1 parser
 below speaks keep-alive (and therefore pipelining, since requests on one
@@ -9,11 +9,10 @@ which admits via the controller's async path and executes on the app's
 bounded thread pool under an ``asyncio.wait_for`` deadline.  Thread count
 is thus a capacity knob (``--executor-workers``), not one-per-connection.
 
-:class:`AioFBoxServer` deliberately mirrors the ``ThreadingHTTPServer``
-surface the rest of the repo already drives — eager socket bind in the
-constructor (``port=0`` works), blocking ``serve_forever()``, thread-safe
-``shutdown()``/``server_close()``, plus ``drain()`` — so tests and
-benchmarks run unchanged against either backend.
+:class:`FBoxHTTPServer` offers the ``socketserver``-shaped surface the rest
+of the repo drives — eager socket bind in the constructor (``port=0``
+works), blocking ``serve_forever()``, thread-safe
+``shutdown()``/``server_close()``, plus ``drain()``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from time import monotonic
 
 from ..app import FBoxApp, Request, Response, format_retry_after
 
-__all__ = ["AioFBoxServer"]
+__all__ = ["FBoxHTTPServer"]
 
 _MAX_HEADER_COUNT = 128
 _HEADER_LINE_LIMIT = 1 << 16
@@ -38,8 +37,8 @@ class _ProtocolError(Exception):
     """The request could not be framed at all; answer 400 and hang up."""
 
 
-class AioFBoxServer:
-    """Asyncio front-end with the same server API as the threaded one."""
+class FBoxHTTPServer:
+    """The asyncio HTTP front-end of one :class:`~repro.service.app.FBoxApp`."""
 
     def __init__(
         self,
@@ -49,14 +48,14 @@ class AioFBoxServer:
     ) -> None:
         self.app = app
         self.quiet = quiet
-        # Bind eagerly, exactly like ThreadingHTTPServer's constructor, so
-        # callers can read the ephemeral port before serve_forever() runs.
+        # Bind eagerly so callers can read the ephemeral port before
+        # serve_forever() runs.
         self._socket = socket.create_server(address, backlog=128)
         self.server_address = self._socket.getsockname()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._shutdown_requested = threading.Event()
-        # Mirrors ThreadingHTTPServer.__is_shut_down: set while not serving.
+        # Set while not serving; shutdown() waits on it.
         self._done = threading.Event()
         self._done.set()
 
@@ -79,7 +78,7 @@ class AioFBoxServer:
         return f"http://{host}:{port}"
 
     # ------------------------------------------------------------------
-    # Lifecycle (ThreadingHTTPServer-shaped)
+    # Lifecycle
     # ------------------------------------------------------------------
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
@@ -250,8 +249,6 @@ class AioFBoxServer:
         ]
         if response.retry_after is not None:
             lines.append(f"Retry-After: {format_retry_after(response.retry_after)}")
-        for name, value in response.headers.items():
-            lines.append(f"{name}: {value}")
         if close:
             # Tell the client explicitly; HTTP/1.1 defaults to keep-alive.
             lines.append("Connection: close")

@@ -88,29 +88,26 @@ def cube():
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture(params=["threads", "asyncio"])
-def backend(request):
-    """Every service test runs once per transport: both fronts share one
-    application layer, so the whole HTTP surface must be byte-compatible."""
-    return request.param
-
-
-@pytest.fixture(params=[0, 2], ids=["inproc", "shards2"])
+@pytest.fixture(
+    params=[0, 2], ids=["asyncio-inproc", "asyncio-shards2"]
+)
 def shards(request):
-    """Every service test also runs against both execution backends: the
-    in-process executor and a two-worker shard pool.  Responses must be
-    byte-compatible, so the whole suite doubles as the routing oracle."""
+    """Every service test runs against both execution backends behind the
+    asyncio transport: the in-process executor and a two-worker shard
+    pool.  Responses must be byte-compatible, so the whole suite doubles
+    as the routing oracle."""
     return request.param
 
 
 @pytest.fixture
-def start_service(backend, shards):
+def start_service(shards):
     """A factory booting a live server on the parameterized backend.
 
     Returns the server (ephemeral port, ``server.url`` ready); every server
-    started through the factory is shut down and closed at teardown.  The
-    ``shards`` execution-backend parameter is applied unless the test pins
-    its own ``shards=`` explicitly.
+    started through the factory is shut down and closed at teardown, which
+    also unlinks its registry's shared-memory segments.  The ``shards``
+    execution-backend parameter is applied unless the test pins its own
+    ``shards=`` explicitly.
     """
     from repro.service.server import make_server
 
@@ -118,7 +115,7 @@ def start_service(backend, shards):
 
     def _start(registry=None, **kwargs):
         kwargs.setdefault("shards", shards)
-        server = make_server(registry=registry, port=0, backend=backend, **kwargs)
+        server = make_server(registry=registry, port=0, **kwargs)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         running.append((server, thread))
@@ -129,3 +126,22 @@ def start_service(backend, shards):
         server.shutdown()
         thread.join(timeout=5)
         server.server_close()
+
+
+@pytest.fixture
+def closing():
+    """Registers registries built outside a server; closes them at teardown.
+
+    Every registry publishes its F-Boxes as shared-memory segments that
+    bypass the resource tracker, so one that is never closed leaks
+    ``/dev/shm/fbx*`` files.  ``closing(registry)`` returns the registry.
+    """
+    registries: list = []
+
+    def _closing(registry):
+        registries.append(registry)
+        return registry
+
+    yield _closing
+    for registry in registries:
+        registry.close()

@@ -10,10 +10,10 @@ contract at three layers:
   (dense and NaN-sparse) with a dict family vs a columnar family;
 * F-Box level — real crawl datasets, including incremental deltas, plus
   segment publish / attach / restart lifecycle and leak checks;
-* service level — a dict server and a columnar server answer the same
-  request list identically (every backend × sharding parameterization),
-  and a respawned shard worker *attaches* to the published segment
-  instead of rebuilding.
+* service level — the served columnar core answers a request list
+  exactly like the dict-FBox oracle cold-built in-process (in-process and
+  sharded), and a respawned shard worker *attaches* to the published
+  segment instead of rebuilding.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from repro.service.registry import DatasetRegistry, DatasetSpec
 from repro.service.server import make_server
 from repro.service.sharding import shard_for
 
-from tests.helpers import make_cube
+from tests.helpers import DictOracle, DictOracleRegistry, make_cube
 
 DIMENSIONS = ("group", "query", "location")
 
@@ -134,8 +134,10 @@ def _metric(text: str, name: str) -> int:
     raise AssertionError(f"metric {name!r} not in exposition")
 
 
-def _registry(marketplace, search=None, **kwargs) -> DatasetRegistry:
-    registry = DatasetRegistry(**kwargs)
+def _registry(
+    marketplace, search=None, registry_class=DatasetRegistry, **kwargs
+) -> DatasetRegistry:
+    registry = registry_class(**kwargs)
     registry.register(
         DatasetSpec(
             name="taskrabbit",
@@ -384,7 +386,6 @@ class TestSegmentLifecycle:
         token = f"t{os.getpid():x}{os.urandom(3).hex()}"
         front = _registry(
             small_marketplace_dataset,
-            core="columnar",
             namespace=token,
             schema=schema,
         )
@@ -395,7 +396,6 @@ class TestSegmentLifecycle:
             # A "restarted worker": same namespace, no segment ownership.
             revived = _registry(
                 small_marketplace_dataset,
-                core="columnar",
                 namespace=token,
                 schema=schema,
                 owns_segments=False,
@@ -419,7 +419,6 @@ class TestSegmentLifecycle:
         token = f"t{os.getpid():x}{os.urandom(3).hex()}"
         registry = _registry(
             small_marketplace_dataset,
-            core="columnar",
             namespace=token,
             schema=schema,
         )
@@ -487,40 +486,39 @@ class TestServiceParity:
     def test_columnar_server_matches_dict_server(
         self, start_service, site, small_marketplace_dataset
     ):
-        servers = {}
-        for core in ("dict", "columnar"):
-            registry = _registry(_copy_marketplace(small_marketplace_dataset))
-            servers[core] = start_service(
-                registry=registry, core=core, request_timeout=60.0
-            )
-
-        def both(path, payload):
-            answers = {
-                core: _post(server.url, path, payload)
-                for core, server in servers.items()
-            }
-            assert answers["columnar"] == answers["dict"], (path, payload)
-            return answers["dict"]
-
-        for path, payload in PARITY_REQUESTS:
-            both(path, payload)
-
-        # Live ingest, its replay, and the post-ingest read must agree too.
-        batch = _market_batch(site, small_marketplace_dataset)
-        ingest = {
-            "dataset": "taskrabbit",
-            "batch_id": "parity-1",
-            "sequence": 1,
-            "observations": batch,
-        }
-        status, document = both("/v1/observations", ingest)
-        assert status == 200 and document["replayed"] is False
-        status, document = both("/v1/observations", ingest)
-        assert status == 200 and document["replayed"] is True
-        status, _ = both(
-            "/v1/quantify", {"dataset": "taskrabbit", "dimension": "group", "k": 3}
+        registry = _registry(_copy_marketplace(small_marketplace_dataset))
+        server = start_service(registry=registry, request_timeout=60.0)
+        oracle_registry = _registry(
+            _copy_marketplace(small_marketplace_dataset),
+            registry_class=DictOracleRegistry,
         )
-        assert status == 200
+        with DictOracle(oracle_registry) as oracle:
+
+            def both(path, payload):
+                served = _post(server.url, path, payload)
+                assert served == oracle.call(path, payload), (path, payload)
+                return served
+
+            for path, payload in PARITY_REQUESTS:
+                both(path, payload)
+
+            # Live ingest, its replay, and the post-ingest read must agree too.
+            batch = _market_batch(site, small_marketplace_dataset)
+            ingest = {
+                "dataset": "taskrabbit",
+                "batch_id": "parity-1",
+                "sequence": 1,
+                "observations": batch,
+            }
+            status, document = both("/v1/observations", ingest)
+            assert status == 200 and document["replayed"] is False
+            status, document = both("/v1/observations", ingest)
+            assert status == 200 and document["replayed"] is True
+            status, _ = both(
+                "/v1/quantify",
+                {"dataset": "taskrabbit", "dimension": "group", "k": 3},
+            )
+            assert status == 200
 
 
 class TestIngestSequence:
@@ -610,7 +608,6 @@ class TestWorkerRestartAttach:
             registry=registry,
             port=0,
             shards=2,
-            core="columnar",
             request_timeout=60.0,
             cache_size=0,
         )

@@ -6,8 +6,8 @@ Three layers under test:
   mathematical guarantees — prefix fairness, double stochasticity, weak
   improvement, determinism;
 * the intervention registry and `FBox.whatif`;
-* the service endpoint, including byte-identity across every core ×
-  transport × execution-backend combination and the robustness of an
+* the service endpoint, including byte-identity with the dict-FBox
+  oracle on both execution backends and the robustness of an
   intervention's benefit under position-biased click feedback.
 """
 
@@ -47,6 +47,7 @@ from repro.exceptions import MeasureError
 from repro.data.schema import MarketplaceDataset
 from repro.service.registry import DatasetRegistry, DatasetSpec
 
+from tests.helpers import DictOracle, DictOracleRegistry
 from tests.test_service import ServiceHarness
 
 
@@ -403,16 +404,20 @@ class TestWhatifParity:
             _whatif_payload(intervention="exposure_lp", seed=5),
             _whatif_payload(intervention="fair", alpha=0.2),
         ]
-        answers = {}
-        for core in ("dict", "columnar"):
-            registry = _registry(small_marketplace_dataset, small_search_dataset)
-            harness = ServiceHarness(
-                start_service(registry=registry, core=core, request_timeout=60.0)
-            )
-            answers[core] = [
-                harness.post("/v1/whatif", payload) for payload in payloads
-            ]
-        assert answers["dict"] == answers["columnar"]
+        registry = _registry(small_marketplace_dataset, small_search_dataset)
+        harness = ServiceHarness(
+            start_service(registry=registry, request_timeout=60.0)
+        )
+        oracle_registry = _registry(
+            small_marketplace_dataset,
+            small_search_dataset,
+            registry_class=DictOracleRegistry,
+        )
+        with DictOracle(oracle_registry) as oracle:
+            for payload in payloads:
+                assert harness.post("/v1/whatif", payload) == oracle.call(
+                    "/v1/whatif", payload
+                )
 
 
 # ----------------------------------------------------------------------

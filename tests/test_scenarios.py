@@ -3,7 +3,7 @@
 Covers the acceptance contract end to end: preset determinism (one frozen
 config → byte-identical datasets no matter which surface builds it),
 override plumbing and validation, lazy materialization through the service
-(both transports × both execution backends), the admin-gated runtime
+(both execution backends), the admin-gated runtime
 ``POST /v1/datasets`` registration, paginated listings, and the seeded
 loadgen planner/report schema.
 """
@@ -35,6 +35,8 @@ from repro.scenarios import (
     scenario_spec,
 )
 from repro.service.errors import NotFound, Unprocessable
+
+from tests.helpers import DictOracle, DictOracleRegistry
 
 ADMIN_TOKEN = "test-admin-token"
 
@@ -200,37 +202,35 @@ class TestByteIdentity:
         assert reloaded.queries == dataset.queries
 
     def test_quantify_identical_across_cores(self):
-        """The same scenario served by dict and columnar cores answers
-        byte-identical quantification documents."""
+        """The same scenario served by the columnar core answers the
+        quantification document the dict-FBox oracle computes."""
         from repro.service.server import make_server
 
-        documents = []
-        for core in ("dict", "columnar"):
-            server = make_server(
-                port=0, quiet=True, core=core, admin_token=ADMIN_TOKEN
+        server = make_server(port=0, quiet=True, admin_token=ADMIN_TOKEN)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with FBoxClient(
+                server.url, retry=RetryPolicy(max_attempts=1, seed=0)
+            ) as client:
+                client.register_scenario("nb", "null_no_bias", token=ADMIN_TOKEN)
+                served = client.quantify("nb", "group", k=3)
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+            server.server_close()
+        with DictOracle(DictOracleRegistry()) as oracle:
+            status, _ = oracle.call(
+                "/v1/datasets", {"name": "nb", "scenario": "null_no_bias"}
             )
-            thread = threading.Thread(
-                target=server.serve_forever, daemon=True
+            assert status == 200
+            status, expected = oracle.call(
+                "/v1/quantify", {"dataset": "nb", "dimension": "group", "k": 3}
             )
-            thread.start()
-            try:
-                with FBoxClient(
-                    server.url, retry=RetryPolicy(max_attempts=1, seed=0)
-                ) as client:
-                    client.register_scenario(
-                        "nb", "null_no_bias", token=ADMIN_TOKEN
-                    )
-                    documents.append(
-                        json.dumps(
-                            client.quantify("nb", "group", k=3),
-                            sort_keys=True,
-                        )
-                    )
-            finally:
-                server.shutdown()
-                thread.join(timeout=5)
-                server.server_close()
-        assert documents[0] == documents[1]
+        assert status == 200
+        assert json.dumps(served, sort_keys=True) == json.dumps(
+            expected, sort_keys=True
+        )
 
 
 # ----------------------------------------------------------------------

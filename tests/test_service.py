@@ -6,14 +6,14 @@ urllib — all six endpoints, the error paths, cache-hit behavior verified via
 ``/metrics``, the per-request timeout guard, and a concurrency test proving
 that 16 parallel first-touch requests build the cube exactly once.
 
-Every server-backed test is parameterized over ``backend in {threads,
-asyncio}`` (the ``backend``/``start_service`` conftest fixtures): the two
-transports share one application layer and must be byte-compatible on every
-endpoint and error path.
+Every server-backed test runs in-process and on a two-worker shard pool
+(the ``shards``/``start_service`` conftest fixtures): both execution
+backends must be byte-compatible on every endpoint and error path.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import logging
 import socket
@@ -29,11 +29,11 @@ from repro.core.attributes import default_schema
 from repro.core.fbox import FBox
 from repro.service.cache import LRUCache
 from repro.service.encoding import canonical_key
+from repro.service.app import make_app
 from repro.service.errors import RequestTimeout
-from repro.service.handlers import ServiceContext, handle_quantify
-from repro.service.observability import ServiceMetrics
+from repro.service.faults import FaultInjector, FaultRule
+from repro.service.handlers import API_PREFIX, ServiceContext, handle_quantify
 from repro.service.registry import DatasetRegistry, DatasetSpec
-from repro.service.server import run_with_deadline
 
 
 # ----------------------------------------------------------------------
@@ -42,11 +42,20 @@ from repro.service.server import run_with_deadline
 
 
 class ServiceHarness:
-    """One live server plus tiny HTTP helpers."""
+    """One live server plus tiny HTTP helpers.
+
+    ``get``/``post`` take endpoint paths and mount them under ``/v1``
+    (already-versioned paths pass through unchanged).
+    """
 
     def __init__(self, server):
         self.server = server
         self.base = server.url
+
+    def url(self, path: str) -> str:
+        if path.startswith(API_PREFIX + "/"):
+            return self.base + path
+        return self.base + API_PREFIX + path
 
     @property
     def registry(self):
@@ -58,7 +67,7 @@ class ServiceHarness:
 
     def get(self, path: str):
         try:
-            with urllib.request.urlopen(self.base + path) as response:
+            with urllib.request.urlopen(self.url(path)) as response:
                 return response.status, response.read().decode("utf-8")
         except urllib.error.HTTPError as error:
             return error.code, error.read().decode("utf-8")
@@ -70,7 +79,7 @@ class ServiceHarness:
     def post(self, path: str, payload, raw: bytes | None = None):
         data = raw if raw is not None else json.dumps(payload).encode("utf-8")
         request = urllib.request.Request(
-            self.base + path, data=data, headers={"Content-Type": "application/json"}
+            self.url(path), data=data, headers={"Content-Type": "application/json"}
         )
         try:
             with urllib.request.urlopen(request) as response:
@@ -79,8 +88,10 @@ class ServiceHarness:
             return error.code, json.loads(error.read())
 
 
-def _registry(small_marketplace_dataset, small_search_dataset) -> DatasetRegistry:
-    registry = DatasetRegistry()
+def _registry(
+    small_marketplace_dataset, small_search_dataset, registry_class=DatasetRegistry
+) -> DatasetRegistry:
+    registry = registry_class()
     registry.register(
         DatasetSpec(
             name="taskrabbit",
@@ -102,15 +113,8 @@ def _registry(small_marketplace_dataset, small_search_dataset) -> DatasetRegistr
 
 @pytest.fixture
 def service(start_service, small_marketplace_dataset, small_search_dataset):
-    # This suite predates /v1 and doubles as the straggler-passthrough
-    # oracle, so it pins ``legacy_routes="serve"``; retirement (the default
-    # ``gone`` mode) is covered by test_service_api_v1.TestLegacyRetired.
     registry = _registry(small_marketplace_dataset, small_search_dataset)
-    return ServiceHarness(
-        start_service(
-            registry=registry, request_timeout=60.0, legacy_routes="serve"
-        )
-    )
+    return ServiceHarness(start_service(registry=registry, request_timeout=60.0))
 
 
 # ----------------------------------------------------------------------
@@ -388,15 +392,28 @@ class TestMetrics:
 # ----------------------------------------------------------------------
 
 
+def _stalled() -> dict:
+    """Server options that make every ``/quantify`` outlive its deadline.
+
+    The injected stall sleeps 20x the deadline (itself 50x the
+    interpreter's 5 ms switch interval), so the deadline fires first
+    however fast the query itself is.
+    """
+    return {
+        "request_timeout": 0.25,
+        "faults": FaultInjector(
+            [FaultRule(site="latency", match="/quantify", latency=5.0)]
+        ),
+    }
+
+
 class TestConcurrency:
     def test_parallel_first_touch_builds_one_cube(
         self, start_service, small_marketplace_dataset, small_search_dataset
     ):
         registry = _registry(small_marketplace_dataset, small_search_dataset)
         harness = ServiceHarness(
-            start_service(
-                registry=registry, request_timeout=120.0, legacy_routes="serve"
-            )
+            start_service(registry=registry, request_timeout=120.0)
         )
         request = {"dataset": "taskrabbit", "dimension": "group", "k": 5}
         with ThreadPoolExecutor(max_workers=16) as pool:
@@ -418,9 +435,11 @@ class TestConcurrency:
         assert "fbox_instances 1" in text
 
     def test_shared_fbox_is_reused_across_measures_and_datasets(
-        self, small_marketplace_dataset, small_search_dataset
+        self, closing, small_marketplace_dataset, small_search_dataset
     ):
-        registry = _registry(small_marketplace_dataset, small_search_dataset)
+        registry = closing(
+            _registry(small_marketplace_dataset, small_search_dataset)
+        )
         first = registry.fbox("taskrabbit")
         second = registry.fbox("taskrabbit", "emd")
         assert first is second
@@ -432,11 +451,7 @@ class TestConcurrency:
         self, start_service, small_marketplace_dataset, small_search_dataset
     ):
         registry = _registry(small_marketplace_dataset, small_search_dataset)
-        harness = ServiceHarness(
-            start_service(
-                registry=registry, request_timeout=1e-4, legacy_routes="serve"
-            )
-        )
+        harness = ServiceHarness(start_service(registry=registry, **_stalled()))
         status, body = harness.post(
             "/quantify", {"dataset": "taskrabbit", "dimension": "group"}
         )
@@ -471,7 +486,7 @@ class TestKeepAliveFraming:
         monkeypatch.setattr(service.server.app, "max_body_bytes", 64)
         oversized = b"x" * 200
         first = (
-            b"POST /quantify HTTP/1.1\r\n"
+            b"POST /v1/quantify HTTP/1.1\r\n"
             b"Host: t\r\n"
             b"Content-Type: application/json\r\n"
             b"Content-Length: " + str(len(oversized)).encode() + b"\r\n"
@@ -481,7 +496,7 @@ class TestKeepAliveFraming:
             {"dataset": "taskrabbit", "dimension": "group", "k": 2}
         ).encode()
         second = (
-            b"POST /quantify HTTP/1.1\r\n"
+            b"POST /v1/quantify HTTP/1.1\r\n"
             b"Host: t\r\n"
             b"Content-Type: application/json\r\n"
             b"Content-Length: " + str(len(payload)).encode() + b"\r\n"
@@ -503,7 +518,7 @@ class TestKeepAliveFraming:
     def test_invalid_content_length_closes_the_connection(self, service):
         """With an unparseable length we cannot resync, so we must close."""
         request = (
-            b"POST /quantify HTTP/1.1\r\n"
+            b"POST /v1/quantify HTTP/1.1\r\n"
             b"Host: t\r\n"
             b"Content-Type: application/json\r\n"
             b"Content-Length: banana\r\n"
@@ -525,7 +540,7 @@ class TestKeepAliveFraming:
         monkeypatch.setattr(service.server.app, "max_body_bytes", 64)
         monkeypatch.setattr(service.server.app, "max_drain_bytes", 128)
         request = (
-            b"POST /quantify HTTP/1.1\r\n"
+            b"POST /v1/quantify HTTP/1.1\r\n"
             b"Host: t\r\n"
             b"Content-Length: 4096\r\n"
             b"\r\n"
@@ -546,23 +561,36 @@ class TestKeepAliveFraming:
 
 
 class TestAbandonedWorkers:
-    def test_value_and_error_paths_unchanged(self):
-        assert run_with_deadline(lambda: 42, 1.0) == 42
-        with pytest.raises(ValueError, match="boom"):
-            run_with_deadline(lambda: (_ for _ in ()).throw(ValueError("boom")), 1.0)
+    @pytest.fixture
+    def app(self, closing):
+        """An app with no datasets, for driving the execution layer."""
+        app = make_app(registry=closing(DatasetRegistry()), request_timeout=1.0)
+        yield app
+        app.close()
 
-    def test_abandoned_worker_failure_is_counted_and_logged(self, caplog):
-        metrics = ServiceMetrics()
+    def test_value_and_error_paths_unchanged(self, app):
+        assert asyncio.run(app._execute_async(lambda: 42)) == 42
+
+        def failure():
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError, match="boom"):
+            asyncio.run(app._execute_async(failure))
+        assert app.context.metrics.abandoned_requests == 0
+
+    def test_abandoned_worker_failure_is_counted_and_logged(self, app, caplog):
+        app.request_timeout = 0.05
         release = threading.Event()
 
         def slow_failure():
-            release.wait(2.0)
+            # Blocked until released, so the deadline always fires first.
+            release.wait(30.0)
             raise ValueError("late boom")
 
         with caplog.at_level(logging.ERROR, logger="repro.service"):
             with pytest.raises(RequestTimeout):
-                run_with_deadline(slow_failure, 0.01, metrics)
-            assert metrics.abandoned_requests == 1
+                asyncio.run(app._execute_async(slow_failure))
+            assert app.context.metrics.abandoned_requests == 1
             release.set()
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
@@ -584,11 +612,7 @@ class TestAbandonedWorkers:
         self, start_service, small_marketplace_dataset, small_search_dataset
     ):
         registry = _registry(small_marketplace_dataset, small_search_dataset)
-        harness = ServiceHarness(
-            start_service(
-                registry=registry, request_timeout=1e-4, legacy_routes="serve"
-            )
-        )
+        harness = ServiceHarness(start_service(registry=registry, **_stalled()))
         status, _ = harness.post(
             "/quantify", {"dataset": "taskrabbit", "dimension": "group"}
         )
@@ -625,9 +649,9 @@ class TestRegistry:
         assert len(calls) == 1
 
     def test_reregistering_drops_stale_materializations(
-        self, small_marketplace_dataset
+        self, closing, small_marketplace_dataset
     ):
-        registry = DatasetRegistry()
+        registry = closing(DatasetRegistry())
         spec = DatasetSpec(
             name="tr", site="taskrabbit", loader=lambda: small_marketplace_dataset
         )
@@ -650,12 +674,12 @@ class TestRegistry:
         assert registry.generation("tr") == 2
 
     def test_reregister_mid_flight_serves_fresh_results(
-        self, site, small_marketplace_dataset
+        self, closing, site, small_marketplace_dataset
     ):
         """The ROADMAP stale-cache bug: cached answers must die with the data."""
         from repro.marketplace.crawl import run_crawl
 
-        registry = DatasetRegistry()
+        registry = closing(DatasetRegistry())
         registry.register(
             DatasetSpec(
                 name="tr",

@@ -26,14 +26,8 @@ from tests.test_service import ServiceHarness, _registry
 
 @pytest.fixture
 def service(start_service, small_marketplace_dataset, small_search_dataset):
-    # Pre-/v1 suite: pins the straggler passthrough; retirement is covered
-    # by test_service_api_v1.TestLegacyRetired.
     registry = _registry(small_marketplace_dataset, small_search_dataset)
-    return ServiceHarness(
-        start_service(
-            registry=registry, request_timeout=120.0, legacy_routes="serve"
-        )
-    )
+    return ServiceHarness(start_service(registry=registry, request_timeout=120.0))
 
 
 def _quantify_item(k: int, **overrides) -> dict:
@@ -278,11 +272,7 @@ class TestSharedSweep:
         def boot():
             registry = _registry(small_marketplace_dataset, small_search_dataset)
             return ServiceHarness(
-                start_service(
-                    registry=registry,
-                    request_timeout=120.0,
-                    legacy_routes="serve",
-                )
+                start_service(registry=registry, request_timeout=120.0)
             )
 
         batched = boot()
@@ -359,9 +349,7 @@ class TestBatchConcurrency:
     ):
         registry = _registry(small_marketplace_dataset, small_search_dataset)
         harness = ServiceHarness(
-            start_service(
-                registry=registry, request_timeout=120.0, legacy_routes="serve"
-            )
+            start_service(registry=registry, request_timeout=120.0)
         )
         batch = [_quantify_item(k) for k in range(1, 9)]
         with ThreadPoolExecutor(max_workers=8) as pool:

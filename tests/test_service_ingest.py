@@ -421,17 +421,21 @@ class TestIngestConvergence:
 class TestGenerationInvalidation:
     """Extends TestRegistry's re-register pattern to the ingest write path."""
 
-    def _context(self, dataset) -> ServiceContext:
-        registry = DatasetRegistry()
-        registry.register(
-            DatasetSpec(name="tr", site="taskrabbit", loader=lambda: dataset)
-        )
-        return ServiceContext(registry=registry)
+    @pytest.fixture
+    def make_context(self, closing):
+        def _context(dataset) -> ServiceContext:
+            registry = closing(DatasetRegistry())
+            registry.register(
+                DatasetSpec(name="tr", site="taskrabbit", loader=lambda: dataset)
+            )
+            return ServiceContext(registry=registry)
+
+        return _context
 
     def test_ingest_mid_flight_serves_fresh_results(
-        self, site, small_marketplace_dataset
+        self, make_context, site, small_marketplace_dataset
     ):
-        context = self._context(_copy_marketplace(small_marketplace_dataset))
+        context = make_context(_copy_marketplace(small_marketplace_dataset))
         request = {"dataset": "tr", "dimension": "query", "k": 8}
 
         first = handle_quantify(context, request)
@@ -450,13 +454,13 @@ class TestGenerationInvalidation:
         assert handle_quantify(context, request)["cached"] is True
 
     def test_concurrent_quantify_never_caches_under_the_new_generation(
-        self, site, small_marketplace_dataset, monkeypatch
+        self, make_context, site, small_marketplace_dataset, monkeypatch
     ):
         """A quantify that keyed itself *before* an ingest must not have its
         answer served *after* the ingest: the generation tag is taken before
         compute, and the bump happens last, so the stale entry's key can
         never collide with a post-ingest lookup."""
-        context = self._context(_copy_marketplace(small_marketplace_dataset))
+        context = make_context(_copy_marketplace(small_marketplace_dataset))
         registry = context.registry
         request = {"dataset": "tr", "dimension": "query", "k": 8}
         handle_quantify(context, request)  # materialize the F-Box
@@ -504,9 +508,9 @@ class TestGenerationInvalidation:
         assert registry.generation("tr") == post_generation
 
     def test_ingest_stress_converges_with_concurrent_readers(
-        self, site, small_marketplace_dataset
+        self, make_context, site, small_marketplace_dataset
     ):
-        context = self._context(_copy_marketplace(small_marketplace_dataset))
+        context = make_context(_copy_marketplace(small_marketplace_dataset))
         request = {"dataset": "tr", "dimension": "location", "k": 6}
         handle_quantify(context, request)
 
@@ -543,7 +547,7 @@ class TestGenerationInvalidation:
         # Whatever interleaving happened, the post-ingest answer equals a
         # cold compute over the final dataset state.
         settled = handle_quantify(context, request)
-        cold_context = self._context(final)
+        cold_context = make_context(final)
         cold = handle_quantify(cold_context, request)
         settled = {k: v for k, v in settled.items() if k != "cached"}
         cold = {k: v for k, v in cold.items() if k != "cached"}
@@ -662,7 +666,6 @@ class TestEmitObservations:
 class TestIngestWorkerExit:
     def test_worker_exit_during_ingest_replays_to_the_same_state(
         self,
-        backend,
         monkeypatch,
         site,
         small_marketplace_dataset,
@@ -681,7 +684,7 @@ class TestIngestWorkerExit:
         running = []
 
         def start(registry, **kwargs):
-            server = make_server(registry=registry, port=0, backend=backend, **kwargs)
+            server = make_server(registry=registry, port=0, **kwargs)
             thread = threading.Thread(target=server.serve_forever, daemon=True)
             thread.start()
             running.append((server, thread))

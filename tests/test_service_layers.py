@@ -11,7 +11,7 @@ The refactor's contract is structural, so these tests assert structure:
   timeout, slot hand-off to a parked waiter);
 * **graceful drain** — at shutdown, requests already admitted or queued
   complete while new arrivals get 503 + ``Connection: close``, on both
-  backends;
+  execution backends;
 * **client keep-alive** — ``FBoxClient`` drives many requests over one
   connection, asserted via the server's ``fbox_connections_total``.
 """
@@ -39,6 +39,7 @@ from repro.service.errors import TooManyRequests
 from repro.service.faults import FaultInjector, FaultRule
 from repro.service.resilience import AdmissionController
 
+from tests.helpers import wait_for
 from tests.test_service import ServiceHarness, _registry
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -83,11 +84,9 @@ class TestLayering:
 
     def test_lazy_server_exports_still_resolve(self):
         import repro.service as service
-        from repro.service.transports.aio import AioFBoxServer
-        from repro.service.transports.threaded import FBoxServer
+        from repro.service.transports.aio import FBoxHTTPServer
 
-        assert service.FBoxServer is FBoxServer
-        assert service.AioFBoxServer is AioFBoxServer
+        assert service.FBoxHTTPServer is FBoxHTTPServer
         assert callable(service.make_server)
         with pytest.raises(AttributeError):
             service.no_such_export
@@ -186,7 +185,7 @@ class TestGracefulDrain:
     ):
         registry = _registry(small_marketplace_dataset, small_search_dataset)
         faults = FaultInjector(
-            [FaultRule(site="latency", match="/quantify", skip=1, latency=0.6)]
+            [FaultRule(site="latency", match="/quantify", skip=1, latency=2.0)]
         )
         server = start_service(
             registry=registry,
@@ -204,17 +203,21 @@ class TestGracefulDrain:
         def slow_request():
             outcomes.append(harness.post("/v1/quantify", payload))
 
-        # One request admitted (executing the 0.6s stall), one queued.
+        # One request admitted (executing the stall), one queued.
         workers = [
             threading.Thread(target=slow_request, daemon=True) for _ in range(2)
         ]
         for worker in workers:
             worker.start()
-        time.sleep(0.2)
+        admission = server.context.admission
+        wait_for(
+            lambda: admission.snapshot()["active"] == 1
+            and admission.snapshot()["queue_depth"] == 1
+        )
 
         drainer = threading.Thread(target=server.drain, args=(10.0,), daemon=True)
         drainer.start()
-        time.sleep(0.1)  # drain flips the app to draining before polling
+        wait_for(lambda: server.app.draining)
 
         # A new arrival while draining: refused, and told to hang up.
         request = urllib.request.Request(

@@ -49,6 +49,7 @@ from repro.service.resilience import (
 )
 from repro.service.server import make_server
 
+from tests.helpers import wait_for
 from tests.test_service import ServiceHarness, _registry
 
 
@@ -66,17 +67,13 @@ class FakeClock:
 
 
 @pytest.fixture
-def live_server(backend):
-    """A contextmanager factory booting a real server on the parameterized
-    backend (ephemeral port, always torn down)."""
+def live_server():
+    """A contextmanager factory booting a real in-process server
+    (ephemeral port, always torn down)."""
 
     @contextmanager
     def _live(**kwargs):
-        # This suite predates /v1 and exercises the straggler passthrough;
-        # retirement (the default --legacy-routes gone) is covered by
-        # tests/test_service_api_v1.py::TestLegacyRetired.
-        kwargs.setdefault("legacy_routes", "serve")
-        server = make_server(port=0, backend=backend, **kwargs)
+        server = make_server(port=0, **kwargs)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -139,9 +136,8 @@ class TestAdmissionController:
 
         thread = threading.Thread(target=waiter, daemon=True)
         thread.start()
-        time.sleep(0.05)
+        wait_for(lambda: admission.snapshot()["queue_depth"] == 1)
         assert not got_slot.is_set()
-        assert admission.snapshot()["queue_depth"] == 1
         admission.release()
         assert got_slot.wait(2.0)
         thread.join(timeout=2)
@@ -732,7 +728,9 @@ class TestClient:
                 daemon=True,
             )
             hog.start()
-            time.sleep(0.2)  # let the hog take the only slot
+            # Let the hog take the only slot.
+            admission = service.server.context.admission
+            wait_for(lambda: admission.snapshot()["active"] == 1)
 
             client = FBoxClient(
                 service.base,

@@ -1,11 +1,12 @@
 """Live shard-pool resize: ``POST /v1/admin/shards`` end to end.
 
-Covers the full contract of a resize under the conftest transport matrix:
+Covers the full contract of a resize:
 
 * the consistent-hash ring bounds how many datasets a ±1 resize moves;
 * an N→M→N round trip is invisible — quantify, trends, and replayed
   ``batch_id``s answer identically before and after, and match a cold
-  boot at the same count (for both storage cores);
+  rebuild (a fresh server at the same count, and the dict-FBox oracle
+  cold-built in-process);
 * the admin surface validates counts, requires ``--shards``, and honors
   ``--admin-token`` (X-Admin-Token or Authorization: Bearer);
 * concurrent query/ingest traffic across a resize sees only transparent
@@ -28,6 +29,7 @@ import math
 import random
 import threading
 import time
+import urllib.parse
 
 import pytest
 
@@ -37,14 +39,20 @@ from repro.service.registry import DatasetRegistry, DatasetSpec
 from repro.service.server import make_server
 from repro.service.sharding import build_ring, shard_for
 
+from tests.helpers import DictOracle, DictOracleRegistry, copy_dataset
 
-def _registry(small_marketplace_dataset, small_search_dataset) -> DatasetRegistry:
-    registry = DatasetRegistry()
+
+def _registry(
+    small_marketplace_dataset, small_search_dataset, registry_class=DatasetRegistry
+) -> DatasetRegistry:
+    # Loaders hand out private copies: the in-process oracle ingests into
+    # its datasets, which must never mutate the session fixtures.
+    registry = registry_class()
     registry.register(
         DatasetSpec(
             name="taskrabbit",
             site="taskrabbit",
-            loader=lambda: small_marketplace_dataset,
+            loader=lambda: copy_dataset(small_marketplace_dataset),
             description="six-city category crawl",
         )
     )
@@ -52,7 +60,7 @@ def _registry(small_marketplace_dataset, small_search_dataset) -> DatasetRegistr
         DatasetSpec(
             name="google",
             site="google",
-            loader=lambda: small_search_dataset,
+            loader=lambda: copy_dataset(small_search_dataset),
             description="two-location study",
         )
     )
@@ -60,13 +68,12 @@ def _registry(small_marketplace_dataset, small_search_dataset) -> DatasetRegistr
 
 
 @pytest.fixture
-def run_server(backend):
-    """Boot servers with explicit knobs on the parameterized transport."""
+def run_server():
+    """Boot servers with explicit knobs (every test pins its own shards)."""
     running: list = []
 
     def _start(registry, **kwargs):
         kwargs.setdefault("port", 0)
-        kwargs.setdefault("backend", backend)
         server = make_server(registry=registry, **kwargs)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -108,6 +115,37 @@ def _norm(document, volatile=("cached",)) -> str:
 
 
 _TREND_CELL = dict(group="gender=female", query="yard work", location="Boston, MA")
+
+
+def _cold_answers(
+    oracle, run_server, datasets, batches, shards
+) -> tuple[dict, dict]:
+    """The google quantify and trend documents after ``batches``, from a
+    cold rebuild: a fresh columnar server at ``shards`` workers
+    (``oracle="columnar"``) or the dict-FBox oracle in-process
+    (``oracle="dict"``).  ``datasets`` is the fixture pair."""
+    if oracle == "columnar":
+        cold = run_server(_registry(*datasets), shards=shards)
+        with _client(cold) as client:
+            _apply(client, batches)
+            return (
+                client.quantify("google", "group", k=3),
+                client.trends("google", **_TREND_CELL),
+            )
+    registry = _registry(*datasets, registry_class=DictOracleRegistry)
+    with DictOracle(registry) as app:
+        for position, batch in enumerate(batches):
+            status, _ = app.call(
+                "/v1/observations",
+                {"dataset": "google", "batch_id": f"rz-{position}", "observations": batch},
+            )
+            assert status == 200
+        _, quantify = app.call(
+            "/v1/quantify", {"dataset": "google", "dimension": "group", "k": 3}
+        )
+        query = urllib.parse.urlencode({"dataset": "google", **_TREND_CELL})
+        _, trends = app.call("/v1/trends?" + query)
+        return quantify, trends
 
 
 # ----------------------------------------------------------------------
@@ -258,18 +296,18 @@ class TestAdminSurface:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("core", ["dict", "columnar"])
+@pytest.mark.parametrize("oracle", ["dict", "columnar"])
 class TestResizeRoundTrip:
     def test_round_trip_preserves_state_byte_for_byte(
         self,
-        core,
+        oracle,
         run_server,
         small_marketplace_dataset,
         small_search_dataset,
     ):
         batches = _search_batches(small_search_dataset)
         registry = _registry(small_marketplace_dataset, small_search_dataset)
-        server = run_server(registry, shards=2, core=core)
+        server = run_server(registry, shards=2)
         with _client(server) as client:
             _apply(client, batches)
             before_quantify = _norm(client.quantify("google", "group", k=3))
@@ -279,12 +317,9 @@ class TestResizeRoundTrip:
             grown = client.resize(4)
             assert grown["from"] == 2 and grown["to"] == 4
             assert set(grown["migrated"]) <= {"taskrabbit", "google"}
-            if core == "columnar":
-                # The O(1) segment handoff: migrated datasets keep their
-                # shared-memory segments — nothing republished, count > 0.
-                assert all(
-                    count > 0 for count in grown["segments"].values()
-                )
+            # The O(1) segment handoff: migrated datasets keep their
+            # shared-memory segments — nothing republished, count > 0.
+            assert all(count > 0 for count in grown["segments"].values())
             assert _norm(client.quantify("google", "group", k=3)) == before_quantify
             assert _norm(client.trends("google", **_TREND_CELL)) == before_trends
             # Replay protection moved with the dataset.
@@ -301,23 +336,18 @@ class TestResizeRoundTrip:
                 is True
             )
 
-            # A cold boot at the final count with the same ingests answers
-            # byte-identically: the migrated state is indistinguishable
-            # from never having moved.
-            cold_registry = _registry(
-                small_marketplace_dataset, small_search_dataset
+            # A cold rebuild with the same ingests answers byte-identically:
+            # the migrated state is indistinguishable from never having
+            # moved.
+            quantify, trends = _cold_answers(
+                oracle,
+                run_server,
+                (small_marketplace_dataset, small_search_dataset),
+                batches,
+                shards=2,
             )
-            cold = run_server(cold_registry, shards=2, core=core)
-            with _client(cold) as cold_client:
-                _apply(cold_client, batches)
-                assert (
-                    _norm(cold_client.quantify("google", "group", k=3))
-                    == before_quantify
-                )
-                assert (
-                    _norm(cold_client.trends("google", **_TREND_CELL))
-                    == before_trends
-                )
+            assert _norm(quantify) == before_quantify
+            assert _norm(trends) == before_trends
 
             # The observability contract: resize counters and the state
             # machine are exposed.
@@ -415,26 +445,21 @@ class TestResizeUnderTraffic:
 # ----------------------------------------------------------------------
 
 
-def _cold_answer(run_server, registry_factory, batches, shards, core) -> str:
-    cold = run_server(registry_factory(), shards=shards, core=core)
-    with _client(cold) as client:
-        _apply(client, batches)
-        return _norm(
-            client.quantify("google", "group", k=3),
-            volatile=("cached", "generation"),
-        )
+def _cold_answer(oracle, run_server, datasets, batches, shards) -> str:
+    quantify, _ = _cold_answers(oracle, run_server, datasets, batches, shards)
+    return _norm(quantify, volatile=("cached", "generation"))
 
 
-@pytest.mark.parametrize("core", ["dict", "columnar"])
+@pytest.mark.parametrize("oracle", ["dict", "columnar"])
 class TestResizeChaos:
-    """Both kill arcs must converge to the cold-boot state at the final
+    """Both kill arcs must converge to the cold-rebuild state at the final
     count.  ``generation`` is normalized out: a kill destroys the victim's
     in-memory write-path state, so re-applied batches legitimately advance
     the counter past a cold boot's (the cube *values* still converge)."""
 
     def test_source_killed_mid_export_converges(
         self,
-        core,
+        oracle,
         run_server,
         monkeypatch,
         small_marketplace_dataset,
@@ -456,7 +481,7 @@ class TestResizeChaos:
         )
         batches = _search_batches(small_search_dataset)
         registry = _registry(small_marketplace_dataset, small_search_dataset)
-        server = run_server(registry, shards=2, core=core, cache_size=0)
+        server = run_server(registry, shards=2, cache_size=0)
         with _client(server) as client:
             _apply(client, batches)
             outcome = client.resize(4)
@@ -470,14 +495,12 @@ class TestResizeChaos:
                 volatile=("cached", "generation"),
             )
         monkeypatch.delenv(FAULTS_ENV_VAR)
-        factory = lambda: _registry(  # noqa: E731
-            small_marketplace_dataset, small_search_dataset
-        )
-        assert answer == _cold_answer(run_server, factory, batches, 4, core)
+        datasets = (small_marketplace_dataset, small_search_dataset)
+        assert answer == _cold_answer(oracle, run_server, datasets, batches, 4)
 
     def test_destination_killed_mid_import_converges(
         self,
-        core,
+        oracle,
         run_server,
         monkeypatch,
         small_marketplace_dataset,
@@ -499,7 +522,7 @@ class TestResizeChaos:
         )
         batches = _search_batches(small_search_dataset)
         registry = _registry(small_marketplace_dataset, small_search_dataset)
-        server = run_server(registry, shards=2, core=core, cache_size=0)
+        server = run_server(registry, shards=2, cache_size=0)
         with _client(server) as client:
             _apply(client, batches)
             outcome = client.resize(4)
@@ -517,14 +540,12 @@ class TestResizeChaos:
             metrics = client.metrics_text()
             assert "fbox_shard_restarts_total" in metrics
         monkeypatch.delenv(FAULTS_ENV_VAR)
-        factory = lambda: _registry(  # noqa: E731
-            small_marketplace_dataset, small_search_dataset
-        )
-        assert answer == _cold_answer(run_server, factory, batches, 4, core)
+        datasets = (small_marketplace_dataset, small_search_dataset)
+        assert answer == _cold_answer(oracle, run_server, datasets, batches, 4)
 
     def test_resize_while_shard_quarantined_converges(
         self,
-        core,
+        oracle,
         run_server,
         monkeypatch,
         small_marketplace_dataset,
@@ -540,7 +561,7 @@ class TestResizeChaos:
         )
         batches = _search_batches(small_search_dataset)
         registry = _registry(small_marketplace_dataset, small_search_dataset)
-        server = run_server(registry, shards=2, core=core, cache_size=0)
+        server = run_server(registry, shards=2, cache_size=0)
         with _client(server) as client:
             _apply(client, batches)
             with pytest.raises(ClientError):
@@ -557,10 +578,8 @@ class TestResizeChaos:
                 volatile=("cached", "generation"),
             )
         monkeypatch.delenv(FAULTS_ENV_VAR)
-        factory = lambda: _registry(  # noqa: E731
-            small_marketplace_dataset, small_search_dataset
-        )
-        assert answer == _cold_answer(run_server, factory, batches, 4, core)
+        datasets = (small_marketplace_dataset, small_search_dataset)
+        assert answer == _cold_answer(oracle, run_server, datasets, batches, 4)
 
 
 # ----------------------------------------------------------------------

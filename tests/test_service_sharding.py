@@ -170,7 +170,6 @@ class TestFrameProtocol:
 class TestShardCrash:
     def test_worker_death_quarantines_then_recovers(
         self,
-        backend,
         run_server,
         monkeypatch,
         small_marketplace_dataset,
@@ -189,7 +188,6 @@ class TestShardCrash:
         registry = _registry(small_marketplace_dataset, small_search_dataset)
         server = run_server(
             registry,
-            backend=backend,
             shards=2,
             request_timeout=60.0,
             cache_size=0,
@@ -281,18 +279,16 @@ class TestCrossShardBatch:
     ]
 
     def test_batch_spanning_shards_matches_the_unsharded_answer(
-        self, backend, run_server, small_marketplace_dataset, small_search_dataset
+        self, run_server, small_marketplace_dataset, small_search_dataset
     ):
         sharded = run_server(
             _registry(small_marketplace_dataset, small_search_dataset),
-            backend=backend,
             shards=2,
             request_timeout=120.0,
             cache_size=0,
         )
         inproc = run_server(
             _registry(small_marketplace_dataset, small_search_dataset),
-            backend=backend,
             shards=0,
             request_timeout=120.0,
             cache_size=0,
@@ -308,11 +304,10 @@ class TestCrossShardBatch:
         assert body_a["succeeded"] == len(self.BATCH)
 
     def test_bad_item_fails_alone_across_shards(
-        self, backend, run_server, small_marketplace_dataset, small_search_dataset
+        self, run_server, small_marketplace_dataset, small_search_dataset
     ):
         server = run_server(
             _registry(small_marketplace_dataset, small_search_dataset),
-            backend=backend,
             shards=2,
             request_timeout=120.0,
             cache_size=0,
