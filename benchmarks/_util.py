@@ -26,8 +26,11 @@ def provenance() -> str:
             ["git", "rev-parse", "--short", "HEAD"],
             cwd=root, capture_output=True, text=True, check=True,
         ).stdout.strip()
+        # Only code counts: result files rewritten by earlier benches in
+        # the same session do not make the measured tree dirty.
         dirty = subprocess.run(
-            ["git", "status", "--porcelain", "--untracked-files=no"],
+            ["git", "status", "--porcelain", "--untracked-files=no",
+             "--", "src", "benchmarks/*.py"],
             cwd=root, capture_output=True, text=True, check=True,
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):

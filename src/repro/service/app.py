@@ -829,11 +829,12 @@ class FBoxApp:
         wrapped = asyncio.wrap_future(future)
         if not timeout or timeout <= 0:
             return await wrapped
-        try:
-            return await asyncio.wait_for(asyncio.shield(wrapped), timeout)
-        except (asyncio.TimeoutError, TimeoutError):
+        # asyncio.wait never cancels what it waits on, so no shield is needed.
+        done, _ = await asyncio.wait((wrapped,), timeout=timeout)
+        if not done:
             self._abandon(future, wrapped)
-            raise _deadline_error(timeout) from None
+            raise _deadline_error(timeout)
+        return wrapped.result()
 
     def _abandon(
         self,

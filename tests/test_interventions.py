@@ -389,7 +389,7 @@ class TestWhatifEndpoint:
 
 
 # ----------------------------------------------------------------------
-# Byte-identity: dict vs columnar core, both transports, both executors
+# Byte-identity: the served columnar core vs the dict-FBox oracle
 # ----------------------------------------------------------------------
 
 
