@@ -44,6 +44,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import os
 import re
 import threading
 from hashlib import blake2s
@@ -99,6 +100,22 @@ class _Segment(shared_memory.SharedMemory):
 
 
 _TRACKER_LOCK = threading.Lock()
+
+
+def _reinit_tracker_lock() -> None:
+    global _TRACKER_LOCK
+    _TRACKER_LOCK = threading.Lock()
+
+
+# Shard workers are forked from a front whose threads open segments all the
+# time.  Holding the lock across fork() means no thread is mid-swap of the
+# tracker functions when the child is taken, and the child starts with a
+# fresh, unheld lock instead of one that no thread of its own will release.
+os.register_at_fork(
+    before=lambda: _TRACKER_LOCK.acquire(),
+    after_in_parent=lambda: _TRACKER_LOCK.release(),
+    after_in_child=_reinit_tracker_lock,
+)
 
 
 class _untracked:

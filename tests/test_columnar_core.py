@@ -439,8 +439,35 @@ class TestSegmentLifecycle:
             registry.close()
 
 
+    def test_fork_while_a_thread_opens_a_segment_leaves_the_child_unlocked(self):
+        """Shard workers fork from a front whose threads open segments
+        constantly; a child must not inherit the tracker lock held."""
+        from repro.core import colstore
+
+        held, release = threading.Event(), threading.Event()
+
+        def holder():
+            with colstore._untracked():
+                held.set()
+                release.wait(5.0)
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        assert held.wait(5.0)
+        timer = threading.Timer(0.2, release.set)
+        timer.start()
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if colstore._TRACKER_LOCK.acquire(timeout=2.0) else 1)
+        _, status = os.waitpid(pid, 0)
+        thread.join(timeout=5.0)
+        timer.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert os.waitstatus_to_exitcode(status) == 0
+
+
 # ----------------------------------------------------------------------
-# Service level: the two cores answer identically over HTTP
+# Service level: the served core answers like the dict oracle over HTTP
 # ----------------------------------------------------------------------
 
 PARITY_REQUESTS = (
