@@ -88,32 +88,41 @@ def cube():
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture(
-    params=[0, 2], ids=["asyncio-inproc", "asyncio-shards2"]
-)
+@pytest.fixture(params=[None, 1], ids=["threads", "asyncio"])
+def executor_workers(request):
+    """Every service test runs under two widths of the CPU executor behind
+    the event loop.  ``threads`` is the shipped default: a pool sized by
+    admission control, so admitted requests compute in parallel threads.
+    ``asyncio`` pins one executor thread: the event loop is the only
+    source of concurrency and every CPU job queues behind the one before,
+    which surfaces any handler that waits on a second pool task."""
+    return request.param
+
+
+@pytest.fixture(params=[0, 2], ids=["inproc", "shards2"])
 def shards(request):
-    """Every service test runs against both execution backends behind the
-    asyncio transport: the in-process executor and a two-worker shard
-    pool.  Responses must be byte-compatible, so the whole suite doubles
-    as the routing oracle."""
+    """Every service test also runs against both execution backends: the
+    in-process executor and a two-worker shard pool.  Responses must be
+    byte-compatible, so the whole suite doubles as the routing oracle."""
     return request.param
 
 
 @pytest.fixture
-def start_service(shards):
-    """A factory booting a live server on the parameterized backend.
+def start_service(executor_workers, shards):
+    """A factory booting a live server on the parameterized configuration.
 
     Returns the server (ephemeral port, ``server.url`` ready); every server
     started through the factory is shut down and closed at teardown, which
-    also unlinks its registry's shared-memory segments.  The ``shards``
-    execution-backend parameter is applied unless the test pins its own
-    ``shards=`` explicitly.
+    also unlinks its registry's shared-memory segments.  The
+    ``executor_workers`` and ``shards`` parameters are applied unless the
+    test pins its own explicitly.
     """
     from repro.service.server import make_server
 
     running: list = []
 
     def _start(registry=None, **kwargs):
+        kwargs.setdefault("executor_workers", executor_workers)
         kwargs.setdefault("shards", shards)
         server = make_server(registry=registry, port=0, **kwargs)
         thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -6,9 +6,11 @@ urllib — all six endpoints, the error paths, cache-hit behavior verified via
 ``/metrics``, the per-request timeout guard, and a concurrency test proving
 that 16 parallel first-touch requests build the cube exactly once.
 
-Every server-backed test runs in-process and on a two-worker shard pool
-(the ``shards``/``start_service`` conftest fixtures): both execution
-backends must be byte-compatible on every endpoint and error path.
+Every server-backed test runs in-process and on a two-worker shard pool,
+each under a pooled and a one-thread CPU executor (the
+``executor_workers``/``shards``/``start_service`` conftest fixtures): all
+four configurations must be byte-compatible on every endpoint and error
+path.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """The versioned /v1 API surface: the retired unversioned mount, the
 unified error envelope, and the machine-readable /v1/schema document.
 
-Every test runs over both execution backends (the ``shards`` conftest
-parameter).  Legacy unversioned paths are retired — known routes answer
+Every test runs over both execution backends and both executor widths
+(the ``shards`` and ``executor_workers`` conftest parameters).  Legacy unversioned paths are retired — known routes answer
 ``410 gone`` with a ``v1_path`` pointer, unknown ones 404.
 """
 

@@ -67,12 +67,13 @@ class FakeClock:
 
 
 @pytest.fixture
-def live_server():
-    """A contextmanager factory booting a real in-process server
-    (ephemeral port, always torn down)."""
+def live_server(executor_workers):
+    """A contextmanager factory booting a real in-process server under the
+    parameterized executor width (ephemeral port, always torn down)."""
 
     @contextmanager
     def _live(**kwargs):
+        kwargs.setdefault("executor_workers", executor_workers)
         server = make_server(port=0, **kwargs)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
