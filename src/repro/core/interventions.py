@@ -37,6 +37,7 @@ from ..exceptions import MeasureError
 from .measures.base import (
     GROUP_RANKING,
     MeasureOption,
+    filter_options,
     get_measure,
     measures_for_family,
 )
@@ -335,9 +336,6 @@ class InterventionInfo:
     description: str = ""
     options: tuple[MeasureOption, ...] = ()
 
-    def option_names(self) -> frozenset[str]:
-        return frozenset(option.name for option in self.options)
-
     def describe(self) -> dict:
         """The ``GET /v1/schema`` entry for this intervention."""
         return {
@@ -455,13 +453,10 @@ def apply_intervention(
     are dropped, so a caller can offer one option bag to any intervention.
     """
     info = intervention_info(name)
-    names = info.option_names()
-    kwargs = {
-        key: value
-        for key, value in options.items()
-        if key in names and value is not None
-    }
-    reranked = info.apply(ranking, group_members, comparable_members, **kwargs)
+    reranked = info.apply(
+        ranking, group_members, comparable_members,
+        **filter_options(info.options, options),
+    )
     before, after = measure_deltas(
         ranking, reranked, group_members, comparable_members
     )

@@ -37,6 +37,7 @@ __all__ = [
     "available_measures",
     "default_measure_for_site",
     "family_for_site",
+    "filter_options",
     "get_measure",
     "measure_info",
     "measures_for_family",
@@ -104,6 +105,25 @@ class MeasureOption:
         return entry
 
 
+def filter_options(
+    options: Sequence[MeasureOption], candidates: Mapping[str, object]
+) -> dict:
+    """Keep only the candidate kwargs ``options`` declares, dropping ``None``.
+
+    The unfairness engines collect every option their signature offers
+    (``bins``, ``denominator``, ``penalty``, …) and let a measure's declared
+    schema decide what reaches its constructor, so one engine serves any
+    measure of its family without knowing the option sets; what-if
+    interventions filter one option bag the same way.
+    """
+    names = {option.name for option in options}
+    return {
+        key: value
+        for key, value in candidates.items()
+        if key in names and value is not None
+    }
+
+
 @dataclass(frozen=True)
 class MeasureInfo:
     """Everything the registry knows about one measure."""
@@ -116,24 +136,6 @@ class MeasureInfo:
     default_for: tuple[str, ...] = ()
     """Site types (``"taskrabbit"`` / ``"google"``) whose datasets default
     to this measure when a request names none."""
-
-    def option_names(self) -> frozenset[str]:
-        return frozenset(option.name for option in self.options)
-
-    def filter_options(self, candidates: Mapping[str, object]) -> dict:
-        """Keep only the candidate kwargs this measure declares.
-
-        The unfairness engines collect every option their signature offers
-        (``bins``, ``denominator``, ``penalty``, …) and let the declared
-        schema decide what reaches the constructor, so one engine serves
-        any measure of its family without knowing the option sets.
-        """
-        names = self.option_names()
-        return {
-            key: value
-            for key, value in candidates.items()
-            if key in names and value is not None
-        }
 
     def describe(self) -> dict:
         """The ``GET /v1/schema`` entry for this measure."""

@@ -36,6 +36,7 @@ from .groups import Group, comparable_groups
 from .measures.base import (
     GROUP_RANKING,
     RANKED_LIST,
+    filter_options,
     measure_info,
     measures_for_family,
 )
@@ -79,7 +80,7 @@ def _build_measure(
             f"{info.family or 'family-less'} (available: "
             f"{measures_for_family(family)})"
         )
-    return info.factory(**info.filter_options(candidates))
+    return info.factory(**filter_options(info.options, candidates))
 
 
 class SearchEngineUnfairness:

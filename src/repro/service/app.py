@@ -57,8 +57,10 @@ from .errors import (
     Unprocessable,
 )
 from .faults import FaultInjector, faults_from_env
+from .fields import decode_fields, require_object
 from .handlers import (
     API_PREFIX,
+    DATASET_FIELDS,
     REQUEST_PARSERS,
     ServiceContext,
     handle_batch,
@@ -677,11 +679,7 @@ class FBoxApp:
                 "live shard-pool resize requires --shards; this instance "
                 "executes queries in-process"
             )
-        if not isinstance(payload, dict):
-            raise BadRequest(
-                f"request body must be a JSON object, got {type(payload).__name__}"
-            )
-        return router.resize(payload.get("count"))
+        return router.resize(require_object(payload).get("count"))
 
     def _register_dataset(self, request: Request, payload) -> dict:
         """``POST /datasets`` — register a scenario-backed dataset at runtime.
@@ -695,24 +693,9 @@ class FBoxApp:
         every later ingest bumps it).
         """
         self._require_admin(request)
-        if not isinstance(payload, dict):
-            raise BadRequest(
-                f"request body must be a JSON object, got {type(payload).__name__}"
-            )
-        name = payload.get("name")
-        if not isinstance(name, str) or not name:
-            raise BadRequest("field 'name' must be a non-empty string")
-        scenario = payload.get("scenario")
-        if not isinstance(scenario, str) or not scenario:
-            raise BadRequest("field 'scenario' must be a non-empty string")
-        overrides = payload.get("overrides")
-        if overrides is None:
-            overrides = {}
-        if not isinstance(overrides, dict):
-            raise BadRequest("field 'overrides' must be a JSON object")
-        description = payload.get("description")
-        if description is not None and not isinstance(description, str):
-            raise BadRequest("field 'description' must be a string")
+        values = decode_fields(DATASET_FIELDS, payload)
+        name, scenario = values["name"], values["scenario"]
+        overrides = values["overrides"] or {}
         # Lazy import: repro.scenarios imports service modules for its
         # error types, so the dependency must point this way at call time.
         from ..scenarios import scenario_spec
@@ -724,7 +707,9 @@ class FBoxApp:
                     f"dataset {name!r} is already registered; runtime "
                     "registration never replaces a live dataset"
                 )
-            spec = scenario_spec(name, scenario, overrides, description=description)
+            spec = scenario_spec(
+                name, scenario, overrides, description=values["description"]
+            )
             registry.register(spec)
         router = self.context.router
         if router is not None:

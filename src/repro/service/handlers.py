@@ -8,16 +8,28 @@ onto structured 4xx JSON bodies.
 
 Validation policy
 -----------------
-* envelope problems (non-object body, missing/mistyped fields) → 400;
-* unknown dataset names → 404;
-* semantically invalid queries (unknown dimensions or measures, malformed
-  group labels, members outside a domain, undefined cells) → 422.
+Each POST endpoint's body is one field table (:mod:`repro.service.fields`)
+that drives parsing, the cache keys and the endpoint's ``request_fields`` in
+``GET /v1/schema``.  A payload is judged in a fixed order, so one with
+several faults always reports the first of:
+
+1. 400 — envelope faults: the body is not an object, a required field is
+   missing, a field has the wrong JSON type;
+2. 404 — the dataset is not registered (checked before any heavy work);
+3. 422 — semantic faults: a value outside its enum (dimensions, measures,
+   interventions, ...), ``k <= 0``, a malformed group label or member, a
+   what-if on a ranked-list dataset; members outside a domain and
+   undefined cells surface when the query runs.
+
+``POST /observations`` decodes its items against the dataset's site, so
+an item's own 400 or 422 follows the 404.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping
+from types import SimpleNamespace
 
 from ..core.batch import group_key
 from ..core.explain import explain_cell
@@ -39,12 +51,11 @@ from .encoding import (
     encode_explanation,
     encode_topk,
     encode_whatif,
-    parse_group,
-    parse_member,
 )
 from .errors import BadRequest, ServiceError, Unprocessable, error_catalog
 from .faults import FaultInjector
-from .ingest import IngestManager
+from .fields import DATASET, Field, check_fields, decode_fields
+from .ingest import OBSERVATION_FIELDS, IngestManager
 from .observability import ServiceMetrics
 from .registry import DatasetRegistry
 from .resilience import AdmissionController
@@ -52,6 +63,7 @@ from .resilience import AdmissionController
 __all__ = [
     "API_PREFIX",
     "API_VERSION",
+    "DATASET_FIELDS",
     "LEGACY_SUNSET",
     "REQUEST_PARSERS",
     "ServiceContext",
@@ -89,6 +101,144 @@ _MAX_BATCH_ITEMS = 64
 request deadline, so unbounded batches would turn into guaranteed 503s)."""
 
 
+# ----------------------------------------------------------------------
+# The field tables
+# ----------------------------------------------------------------------
+
+_MEASURE = Field(
+    "measure", "string",
+    "distance measure; defaults to the dataset's default_measure",
+    enum=available_measures,
+)
+_ALLOW_STALE = Field(
+    "allow_stale", "bool",
+    "opt in to a degraded last-known-good answer when the deadline "
+    "fires or a breaker is open",
+    default=False,
+)
+
+QUANTIFY_FIELDS = (
+    DATASET,
+    _MEASURE,
+    _ALLOW_STALE,
+    Field(
+        "dimension", "choice", "dimension to rank", required=True,
+        enum=_DIMENSIONS,
+    ),
+    Field(
+        "k", "int", "how many members to return (positive)", default=5,
+        minimum=1,
+    ),
+    Field("order", "choice", "rank direction", default="most", enum=_ORDERS),
+    Field(
+        "algorithm", "choice", "sweep strategy", default="fagin",
+        enum=_QUANTIFY_ALGORITHMS,
+    ),
+)
+
+COMPARE_FIELDS = (
+    DATASET,
+    _MEASURE,
+    _ALLOW_STALE,
+    Field(
+        "dimension", "choice", "dimension r1/r2 belong to", required=True,
+        enum=_DIMENSIONS,
+    ),
+    Field(
+        "breakdown", "choice", "dimension to break the comparison down by",
+        required=True, enum=_DIMENSIONS,
+    ),
+    Field(
+        "r1", "member",
+        "first member (groups use attr=value[,attr=value] syntax)",
+        required=True,
+    ),
+    Field("r2", "member", "second member, same syntax as r1", required=True),
+    Field(
+        "algorithm", "choice", "comparison strategy", default="cube",
+        enum=_COMPARE_ALGORITHMS,
+    ),
+)
+
+EXPLAIN_FIELDS = (
+    DATASET,
+    _MEASURE,
+    _ALLOW_STALE,
+    Field(
+        "group", "group", "group label, attr=value[,attr=value]", required=True,
+    ),
+    Field("query", "string", "query of the cell to explain", required=True),
+    Field("location", "string", "location of the cell to explain", required=True),
+)
+
+WHATIF_FIELDS = (
+    Field(
+        "dataset", "string",
+        "registered dataset name (see GET /v1/datasets); must be a "
+        "group-ranking (marketplace) dataset",
+        required=True,
+    ),
+    Field(
+        "group", "group",
+        "group to repair the ranking for, attr=value[,attr=value]",
+        required=True,
+    ),
+    Field("query", "string", "query of the cell to re-rank", required=True),
+    Field("location", "string", "location of the cell to re-rank", required=True),
+    Field(
+        "intervention", "string", "registered re-ranking intervention",
+        required=True, enum=available_interventions,
+    ),
+    Field("alpha", "number", "FA*IR significance level, in (0, 0.5)"),
+    Field(
+        "p", "number",
+        "FA*IR null-hypothesis protected probability; defaults to the "
+        "group's share of the ranking",
+    ),
+    Field(
+        "seed", "int", "deterministic tie-break seed for exposure_lp", default=0,
+    ),
+    _ALLOW_STALE,
+)
+
+BATCH_FIELDS = (
+    Field(
+        "requests", "array",
+        "sub-requests; each carries an 'op' plus that endpoint's fields",
+        required=True,
+    ),
+)
+"""Documentation only: :func:`_batch_items` also takes a bare array."""
+
+_BATCH_ITEM_FIELDS = (Field("op", "choice", "", required=True, enum=_BATCH_OPS),)
+
+ADMIN_SHARDS_FIELDS = (
+    Field(
+        "count", "int", "target shard count (1-64); requires --shards",
+        required=True,
+    ),
+)
+"""Documentation only: ``ShardRouter.resize`` owns the ``count`` checks."""
+
+DATASET_FIELDS = (
+    Field("name", "string", "registry key for the new dataset", required=True),
+    Field(
+        "scenario", "string", "preset name (see GET /v1/scenarios)",
+        required=True,
+    ),
+    Field(
+        "overrides", "object",
+        "scenario field overrides (seed, workers, cities, bias_scale, ...); "
+        "identity fields are protected",
+    ),
+    Field(
+        "description", "text",
+        "human-readable description; defaults to the scenario's",
+    ),
+)
+"""``POST /datasets``, decoded by the application layer."""
+
+
 @dataclass
 class ServiceContext:
     """Everything a handler needs: datasets, caches, metrics, resilience.
@@ -116,78 +266,6 @@ class ServiceContext:
     ``/readyz``, the worker half of ``/metrics``) go through it."""
 
 
-def _require_object(payload) -> Mapping:
-    if not isinstance(payload, Mapping):
-        raise BadRequest(
-            f"request body must be a JSON object, got {type(payload).__name__}"
-        )
-    return payload
-
-
-def _string_field(payload: Mapping, name: str, required: bool = True) -> str | None:
-    value = payload.get(name)
-    if value is None:
-        if required:
-            raise BadRequest(f"missing required field {name!r}")
-        return None
-    if not isinstance(value, str) or not value:
-        raise BadRequest(f"field {name!r} must be a non-empty string")
-    return value
-
-
-def _int_field(payload: Mapping, name: str, default: int) -> int:
-    value = payload.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise BadRequest(f"field {name!r} must be an integer")
-    return value
-
-
-def _bool_field(payload: Mapping, name: str, default: bool = False) -> bool:
-    value = payload.get(name, default)
-    if not isinstance(value, bool):
-        raise BadRequest(f"field {name!r} must be a boolean")
-    return value
-
-
-def _number_field(payload: Mapping, name: str) -> float | None:
-    """An optional numeric field (int or float, not bool)."""
-    value = payload.get(name)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise BadRequest(f"field {name!r} must be a number")
-    return float(value)
-
-
-def _choice_field(
-    payload: Mapping, name: str, choices: tuple[str, ...], default: str | None = None
-) -> str:
-    """A string field restricted to ``choices``.
-
-    Missing-and-no-default is a 400 (envelope problem); present but outside
-    ``choices`` is a 422 (semantic problem).
-    """
-    value = payload.get(name, default)
-    if value is None:
-        raise BadRequest(f"missing required field {name!r}")
-    if not isinstance(value, str):
-        raise BadRequest(f"field {name!r} must be a string")
-    if value not in choices:
-        raise Unprocessable(
-            f"field {name!r} must be one of {list(choices)}, got {value!r}"
-        )
-    return value
-
-
-def _parse_member_or_422(dimension: str, text: str) -> Hashable:
-    try:
-        return parse_member(dimension, text)
-    except ServiceError:
-        raise
-    except ReproError as error:
-        raise Unprocessable(str(error)) from error
-
-
 def _run_query(fn):
     """Run one F-Box call, translating library errors into 422s."""
     try:
@@ -198,9 +276,83 @@ def _run_query(fn):
         raise Unprocessable(str(error)) from error
 
 
-def _answer(context: ServiceContext, request: "_ParsedRequest", compute):
-    """Cache-through with a last-known-good side copy: ``(document, was_hit)``.
+class _Request(SimpleNamespace):
+    """A fully validated request.
 
+    Carries every field of its endpoint's table as an attribute (group
+    labels and members parsed), ``measure`` (the F-Box to consult), the
+    dataset ``generation`` it was parsed against, and its two cache keys:
+    ``key`` (generation-tagged, for the result cache) and ``stale_key``
+    (generation-free, for the last-known-good store).
+    """
+
+    @property
+    def sweep_key(self) -> tuple[str, str, str, str]:
+        """A quantify request's batch sharing key (see
+        :func:`repro.core.batch.group_key`)."""
+        return group_key(self.dataset, self.measure, self.dimension, self.order)
+
+
+def _parse(context: ServiceContext, endpoint: str, table, payload, hook) -> _Request:
+    """Validate ``payload`` against ``table`` without computing anything heavy.
+
+    ``hook(spec, values)`` says what the table cannot: defaults and checks
+    that depend on the dataset.  The cache keys cover every table field but
+    ``allow_stale``, which changes how a request may be answered, not what
+    it asks.
+    """
+    values = decode_fields(table, payload)
+    spec = context.registry.spec(values["dataset"])
+    hook(spec, values)
+    check_fields(table, values)
+    params = {f.name: values[f.name] for f in table if f.name != "allow_stale"}
+    generation = context.registry.generation(spec.name)
+    return _Request(
+        **values,
+        generation=generation,
+        key=canonical_key(endpoint, {**params, "generation": generation}),
+        stale_key=canonical_key(endpoint, params),
+    )
+
+
+def _default_measure(spec, values: dict) -> None:
+    values["measure"] = (values["measure"] or spec.default_measure).lower()
+
+
+def _parse_quantify(context: ServiceContext, payload) -> _Request:
+    return _parse(context, "quantify", QUANTIFY_FIELDS, payload, _default_measure)
+
+
+def _parse_compare(context: ServiceContext, payload) -> _Request:
+    return _parse(context, "compare", COMPARE_FIELDS, payload, _default_measure)
+
+
+def _parse_explain(context: ServiceContext, payload) -> _Request:
+    return _parse(context, "explain", EXPLAIN_FIELDS, payload, _default_measure)
+
+
+def _whatif_hook(spec, values: dict) -> None:
+    values["intervention"] = values["intervention"].lower()
+    if family_for_site(spec.site) != GROUP_RANKING:
+        raise Unprocessable(
+            f"dataset {spec.name!r} is a {spec.site} (ranked-list) dataset; "
+            "what-if interventions re-rank the shared worker ranking of a "
+            "group-ranking dataset"
+        )
+    # Not a request field: the F-Box is looked up under the dataset's
+    # default measure only to share the already-built instance.
+    values["measure"] = spec.default_measure
+
+
+def _parse_whatif(context: ServiceContext, payload) -> _Request:
+    return _parse(context, "whatif", WHATIF_FIELDS, payload, _whatif_hook)
+
+
+def _answer(context: ServiceContext, request: _Request, compute, fbox=None) -> dict:
+    """Cache-through with a last-known-good side copy.
+
+    On a miss, ``compute(context, request, fbox)`` runs against ``fbox``,
+    by default the registry's F-Box for the request's dataset and measure.
     A fresh computation lands in two places: the result cache (under the
     generation-tagged key, so re-registration invalidates it) and the stale
     store (under the generation-*free* key, tagged with the generation it
@@ -208,93 +360,16 @@ def _answer(context: ServiceContext, request: "_ParsedRequest", compute):
     """
     hit = context.cache.get(request.key)
     if hit is not None:
-        return hit, True
-    document = compute()
+        return {**hit, "cached": True}
+    if fbox is None:
+        fbox = context.registry.fbox(request.dataset, request.measure)
+    document = compute(context, request, fbox)
     context.cache.put(request.key, document)
     context.stale.put(request.stale_key, (document, request.generation))
-    return document, False
+    return {**document, "cached": False}
 
 
-@dataclass(frozen=True)
-class _ParsedRequest:
-    """A fully validated request: cache keys plus degraded-mode facts."""
-
-    dataset: str
-    generation: int
-    key: str
-    stale_key: str
-    allow_stale: bool = False
-
-
-def _request_keys(
-    context: ServiceContext, endpoint: str, dataset: str, params: Mapping
-) -> tuple[int, str, str]:
-    """The (generation, cache key, stale key) triple for one request."""
-    generation = context.registry.generation(dataset)
-    key = canonical_key(endpoint, {**params, "generation": generation})
-    stale_key = canonical_key(endpoint, dict(params))
-    return generation, key, stale_key
-
-
-@dataclass(frozen=True)
-class _QuantifyRequest(_ParsedRequest):
-    """One fully validated quantify sub-request plus its cache keys."""
-
-    measure: str = ""
-    dimension: str = ""
-    k: int = 0
-    order: str = ""
-    algorithm: str = ""
-
-    @property
-    def sweep_key(self) -> tuple[str, str, str, str]:
-        """The batch planner's sharing key (see :func:`repro.core.batch.group_key`)."""
-        return group_key(self.dataset, self.measure, self.dimension, self.order)
-
-
-def _parse_quantify(context: ServiceContext, payload) -> _QuantifyRequest:
-    """Validate a quantify payload without computing anything heavy."""
-    payload = _require_object(payload)
-    dataset = _string_field(payload, "dataset")
-    dimension = _choice_field(payload, "dimension", _DIMENSIONS)
-    k = _int_field(payload, "k", 5)
-    if k <= 0:
-        raise Unprocessable(f"k must be positive, got {k}")
-    order = _choice_field(payload, "order", _ORDERS, "most")
-    algorithm = _choice_field(payload, "algorithm", _QUANTIFY_ALGORITHMS, "fagin")
-    allow_stale = _bool_field(payload, "allow_stale")
-    measure = _string_field(payload, "measure", required=False)
-    spec = context.registry.spec(dataset)  # 404 before any heavy work
-    measure = (measure or spec.default_measure).lower()
-
-    generation, key, stale_key = _request_keys(
-        context,
-        "quantify",
-        dataset,
-        {
-            "dataset": dataset,
-            "measure": measure,
-            "dimension": dimension,
-            "k": k,
-            "order": order,
-            "algorithm": algorithm,
-        },
-    )
-    return _QuantifyRequest(
-        dataset=dataset,
-        generation=generation,
-        key=key,
-        stale_key=stale_key,
-        allow_stale=allow_stale,
-        measure=measure,
-        dimension=dimension,
-        k=k,
-        order=order,
-        algorithm=algorithm,
-    )
-
-
-def _quantify_document(request: _QuantifyRequest, result) -> dict:
+def _quantify_document(request: _Request, result) -> dict:
     document = encode_topk(result, request.dimension)
     document.update(
         dataset=request.dataset,
@@ -305,8 +380,7 @@ def _quantify_document(request: _QuantifyRequest, result) -> dict:
     return document
 
 
-def _compute_quantify(context: ServiceContext, request: _QuantifyRequest) -> dict:
-    fbox = context.registry.fbox(request.dataset, request.measure)
+def _compute_quantify(context: ServiceContext, request: _Request, fbox) -> dict:
     result = _run_query(
         lambda: fbox.quantify(
             request.dimension,
@@ -321,308 +395,10 @@ def _compute_quantify(context: ServiceContext, request: _QuantifyRequest) -> dic
 
 def handle_quantify(context: ServiceContext, payload) -> dict:
     """``POST /quantify`` — Problem 1: top/bottom-k of one dimension."""
-    request = _parse_quantify(context, payload)
-    document, was_hit = _answer(
-        context, request, lambda: _compute_quantify(context, request)
-    )
-    return {**document, "cached": was_hit}
+    return _answer(context, _parse_quantify(context, payload), _compute_quantify)
 
 
-@dataclass(frozen=True)
-class _CompareRequest(_ParsedRequest):
-    """One fully validated compare request plus its cache keys."""
-
-    measure: str = ""
-    dimension: str = ""
-    breakdown: str = ""
-    r1: Hashable = None
-    r2: Hashable = None
-    algorithm: str = ""
-
-
-def _parse_compare(context: ServiceContext, payload) -> _CompareRequest:
-    payload = _require_object(payload)
-    dataset = _string_field(payload, "dataset")
-    dimension = _choice_field(payload, "dimension", _DIMENSIONS)
-    breakdown = _choice_field(payload, "breakdown", _DIMENSIONS)
-    r1_text = _string_field(payload, "r1")
-    r2_text = _string_field(payload, "r2")
-    algorithm = _choice_field(payload, "algorithm", _COMPARE_ALGORITHMS, "cube")
-    allow_stale = _bool_field(payload, "allow_stale")
-    measure = _string_field(payload, "measure", required=False)
-    spec = context.registry.spec(dataset)
-    measure = (measure or spec.default_measure).lower()
-    r1 = _parse_member_or_422(dimension, r1_text)
-    r2 = _parse_member_or_422(dimension, r2_text)
-
-    generation, key, stale_key = _request_keys(
-        context,
-        "compare",
-        dataset,
-        {
-            "dataset": dataset,
-            "measure": measure,
-            "dimension": dimension,
-            "breakdown": breakdown,
-            "r1": str(r1),
-            "r2": str(r2),
-            "algorithm": algorithm,
-        },
-    )
-    return _CompareRequest(
-        dataset=dataset,
-        generation=generation,
-        key=key,
-        stale_key=stale_key,
-        allow_stale=allow_stale,
-        measure=measure,
-        dimension=dimension,
-        breakdown=breakdown,
-        r1=r1,
-        r2=r2,
-        algorithm=algorithm,
-    )
-
-
-def handle_compare(context: ServiceContext, payload) -> dict:
-    """``POST /compare`` — Problem 2: reversal breakdown of r1 vs r2."""
-    request = _parse_compare(context, payload)
-
-    def compute() -> dict:
-        fbox = context.registry.fbox(request.dataset, request.measure)
-        report = _run_query(
-            lambda: fbox.compare(
-                request.dimension,
-                request.r1,
-                request.r2,
-                request.breakdown,
-                algorithm=request.algorithm,
-            )
-        )
-        context.metrics.record_access_stats(report.stats)
-        document = encode_comparison(report)
-        document.update(
-            dataset=request.dataset,
-            measure=request.measure,
-            algorithm=request.algorithm,
-        )
-        return document
-
-    document, was_hit = _answer(context, request, compute)
-    return {**document, "cached": was_hit}
-
-
-@dataclass(frozen=True)
-class _ExplainRequest(_ParsedRequest):
-    """One fully validated explain request plus its cache keys."""
-
-    measure: str = ""
-    group: Hashable = None
-    query: str = ""
-    location: str = ""
-
-
-def _parse_explain(context: ServiceContext, payload) -> _ExplainRequest:
-    payload = _require_object(payload)
-    dataset = _string_field(payload, "dataset")
-    group_text = _string_field(payload, "group")
-    query = _string_field(payload, "query")
-    location = _string_field(payload, "location")
-    allow_stale = _bool_field(payload, "allow_stale")
-    measure = _string_field(payload, "measure", required=False)
-    spec = context.registry.spec(dataset)
-    measure = (measure or spec.default_measure).lower()
-    try:
-        group = parse_group(group_text)
-    except ReproError as error:
-        raise Unprocessable(str(error)) from error
-
-    generation, key, stale_key = _request_keys(
-        context,
-        "explain",
-        dataset,
-        {
-            "dataset": dataset,
-            "measure": measure,
-            "group": str(group),
-            "query": query,
-            "location": location,
-        },
-    )
-    return _ExplainRequest(
-        dataset=dataset,
-        generation=generation,
-        key=key,
-        stale_key=stale_key,
-        allow_stale=allow_stale,
-        measure=measure,
-        group=group,
-        query=query,
-        location=location,
-    )
-
-
-def handle_explain(context: ServiceContext, payload) -> dict:
-    """``POST /explain`` — decompose one ``d<g,q,l>`` cell."""
-    request = _parse_explain(context, payload)
-
-    def compute() -> dict:
-        fbox = context.registry.fbox(request.dataset, request.measure)
-        explanation = _run_query(
-            lambda: explain_cell(
-                fbox.engine, request.group, request.query, request.location
-            )
-        )
-        document = encode_explanation(explanation)
-        document.update(dataset=request.dataset, measure=request.measure)
-        return document
-
-    document, was_hit = _answer(context, request, compute)
-    return {**document, "cached": was_hit}
-
-
-@dataclass(frozen=True)
-class _WhatifRequest(_ParsedRequest):
-    """One fully validated what-if request plus its cache keys."""
-
-    measure: str = ""
-    group: Hashable = None
-    query: str = ""
-    location: str = ""
-    intervention: str = ""
-    alpha: float | None = None
-    p: float | None = None
-    seed: int = 0
-
-
-def _parse_whatif(context: ServiceContext, payload) -> _WhatifRequest:
-    payload = _require_object(payload)
-    dataset = _string_field(payload, "dataset")
-    group_text = _string_field(payload, "group")
-    query = _string_field(payload, "query")
-    location = _string_field(payload, "location")
-    intervention = _string_field(payload, "intervention")
-    alpha = _number_field(payload, "alpha")
-    p = _number_field(payload, "p")
-    seed = _int_field(payload, "seed", 0)
-    allow_stale = _bool_field(payload, "allow_stale")
-    spec = context.registry.spec(dataset)  # 404 before any heavy work
-    interventions = available_interventions()
-    if intervention.lower() not in interventions:
-        raise Unprocessable(
-            f"unknown intervention {intervention!r}; available: {interventions}"
-        )
-    intervention = intervention.lower()
-    if family_for_site(spec.site) != GROUP_RANKING:
-        raise Unprocessable(
-            f"dataset {dataset!r} is a {spec.site} (ranked-list) dataset; "
-            "what-if interventions re-rank the shared worker ranking of a "
-            "group-ranking dataset"
-        )
-    try:
-        group = parse_group(group_text)
-    except ReproError as error:
-        raise Unprocessable(str(error)) from error
-
-    generation, key, stale_key = _request_keys(
-        context,
-        "whatif",
-        dataset,
-        {
-            "dataset": dataset,
-            "group": str(group),
-            "query": query,
-            "location": location,
-            "intervention": intervention,
-            "alpha": alpha,
-            "p": p,
-            "seed": seed,
-        },
-    )
-    return _WhatifRequest(
-        dataset=dataset,
-        generation=generation,
-        key=key,
-        stale_key=stale_key,
-        allow_stale=allow_stale,
-        measure=spec.default_measure,
-        group=group,
-        query=query,
-        location=location,
-        intervention=intervention,
-        alpha=alpha,
-        p=p,
-        seed=seed,
-    )
-
-
-def handle_whatif(context: ServiceContext, payload) -> dict:
-    """``POST /whatif`` — re-rank one cell's ranking, report every measure.
-
-    Purely hypothetical: runs a registered intervention on the worker
-    ranking behind ``d<group, query, location>`` and reports the
-    before/after value of **all** registered group-ranking measures; the
-    dataset and its materializations are untouched.  The F-Box is looked up
-    under the dataset's default measure purely to share the already-built
-    instance — the intervention consults the measure registry directly.
-    """
-    request = _parse_whatif(context, payload)
-
-    def compute() -> dict:
-        fbox = context.registry.fbox(request.dataset, request.measure)
-        result = _run_query(
-            lambda: fbox.whatif(
-                request.group,
-                request.query,
-                request.location,
-                request.intervention,
-                alpha=request.alpha,
-                p=request.p,
-                seed=request.seed,
-            )
-        )
-        document = encode_whatif(result)
-        document.update(
-            dataset=request.dataset,
-            group=str(request.group),
-            query=request.query,
-            location=request.location,
-        )
-        return document
-
-    document, was_hit = _answer(context, request, compute)
-    return {**document, "cached": was_hit}
-
-
-_DEGRADED_PARSERS = {
-    "/quantify": _parse_quantify,
-    "/compare": _parse_compare,
-    "/explain": _parse_explain,
-    "/whatif": _parse_whatif,
-}
-
-_FRONT_READ_PATHS = ("/quantify", "/compare")
-"""Endpoints a sharded front can answer straight from a published columnar
-segment.  ``/explain`` and ``/whatif`` are excluded on purpose: both reach
-through the unfairness *engine* into per-observation evidence (the raw
-worker rankings), which only the owning worker holds — segments carry the
-materialized cube and indices, not the raw dataset."""
-
-
-def _front_quantify(context: ServiceContext, request: _QuantifyRequest, fbox) -> dict:
-    result = _run_query(
-        lambda: fbox.quantify(
-            request.dimension,
-            k=request.k,
-            order=request.order,
-            algorithm=request.algorithm,
-        )
-    )
-    context.metrics.record_access_stats(result.stats)
-    return _quantify_document(request, result)
-
-
-def _front_compare(context: ServiceContext, request: _CompareRequest, fbox) -> dict:
+def _compute_compare(context: ServiceContext, request: _Request, fbox) -> dict:
     report = _run_query(
         lambda: fbox.compare(
             request.dimension,
@@ -642,6 +418,80 @@ def _front_compare(context: ServiceContext, request: _CompareRequest, fbox) -> d
     return document
 
 
+def handle_compare(context: ServiceContext, payload) -> dict:
+    """``POST /compare`` — Problem 2: reversal breakdown of r1 vs r2."""
+    return _answer(context, _parse_compare(context, payload), _compute_compare)
+
+
+def _compute_explain(context: ServiceContext, request: _Request, fbox) -> dict:
+    explanation = _run_query(
+        lambda: explain_cell(
+            fbox.engine, request.group, request.query, request.location
+        )
+    )
+    document = encode_explanation(explanation)
+    document.update(dataset=request.dataset, measure=request.measure)
+    return document
+
+
+def handle_explain(context: ServiceContext, payload) -> dict:
+    """``POST /explain`` — decompose one ``d<g,q,l>`` cell."""
+    return _answer(context, _parse_explain(context, payload), _compute_explain)
+
+
+def _compute_whatif(context: ServiceContext, request: _Request, fbox) -> dict:
+    result = _run_query(
+        lambda: fbox.whatif(
+            request.group,
+            request.query,
+            request.location,
+            request.intervention,
+            alpha=request.alpha,
+            p=request.p,
+            seed=request.seed,
+        )
+    )
+    document = encode_whatif(result)
+    document.update(
+        dataset=request.dataset,
+        group=str(request.group),
+        query=request.query,
+        location=request.location,
+    )
+    return document
+
+
+def handle_whatif(context: ServiceContext, payload) -> dict:
+    """``POST /whatif`` — re-rank one cell's ranking, report every measure.
+
+    Purely hypothetical: runs a registered intervention on the worker
+    ranking behind ``d<group, query, location>`` and reports the
+    before/after value of **all** registered group-ranking measures; the
+    dataset and its materializations are untouched.  The F-Box is looked up
+    under the dataset's default measure purely to share the already-built
+    instance — the intervention consults the measure registry directly.
+    """
+    return _answer(context, _parse_whatif(context, payload), _compute_whatif)
+
+
+REQUEST_PARSERS = {
+    "/quantify": _parse_quantify,
+    "/compare": _parse_compare,
+    "/explain": _parse_explain,
+    "/whatif": _parse_whatif,
+}
+"""Endpoint → cheap payload parser, for callers that need a request's cache
+keys without running it: the application layer's cached fast path, the
+front-side read, and degraded mode."""
+
+_FRONT_READS = {"/quantify": _compute_quantify, "/compare": _compute_compare}
+"""Endpoints a sharded front can answer straight from a published columnar
+segment.  ``/explain`` and ``/whatif`` are excluded on purpose: both reach
+through the unfairness *engine* into per-observation evidence (the raw
+worker rankings), which only the owning worker holds — segments carry the
+materialized cube and indices, not the raw dataset."""
+
+
 def handle_front_read(context: ServiceContext, path: str, payload) -> dict:
     """Answer ``/quantify`` or ``/compare`` on a sharded front straight from
     the owning worker's published columnar segment — no worker roundtrip.
@@ -654,11 +504,11 @@ def handle_front_read(context: ServiceContext, path: str, payload) -> dict:
     """
     from ..core.colstore import AttachedFBox, SegmentMiss
 
-    if path not in _FRONT_READ_PATHS:
+    compute = _FRONT_READS.get(path)
+    if compute is None:
         raise SegmentMiss(f"no front-side read for {path}")
-    parser = _DEGRADED_PARSERS[path]
     try:
-        request = parser(context, payload)
+        request = REQUEST_PARSERS[path](context, payload)
     except ServiceError as error:
         raise SegmentMiss(
             "payload must be validated by the owning worker"
@@ -666,16 +516,7 @@ def handle_front_read(context: ServiceContext, path: str, payload) -> dict:
     fbox = AttachedFBox.attach(
         context.registry.segments, request.dataset, request.measure
     )
-    if path == "/quantify":
-        compute = lambda: _front_quantify(context, request, fbox)  # noqa: E731
-    else:
-        compute = lambda: _front_compare(context, request, fbox)  # noqa: E731
-    document, was_hit = _answer(context, request, compute)
-    return {**document, "cached": was_hit}
-
-REQUEST_PARSERS = _DEGRADED_PARSERS
-"""Endpoint → cheap payload parser, for callers that need a request's cache
-keys without running it (the application layer's cached fast path)."""
+    return _answer(context, request, compute, fbox)
 
 
 def resolve_degraded(
@@ -693,7 +534,7 @@ def resolve_degraded(
     endpoint has no degraded mode, the request did not opt in, the payload
     does not re-parse, or there is no last-known-good entry.
     """
-    parser = _DEGRADED_PARSERS.get(endpoint)
+    parser = REQUEST_PARSERS.get(endpoint)
     if parser is None:
         return None
     try:
@@ -757,15 +598,15 @@ def handle_batch(context: ServiceContext, payload) -> dict:
     """
     items = _batch_items(payload)
     results: list[dict | None] = [None] * len(items)
-    plans: dict[tuple, list[tuple[int, _QuantifyRequest]]] = {}
+    plans: dict[tuple, list[tuple[int, _Request]]] = {}
 
     for position, item in enumerate(items):
         try:
-            item = _require_object(item)
-            op = _choice_field(item, "op", _BATCH_OPS)
-            if op == "compare":
+            values = decode_fields(_BATCH_ITEM_FIELDS, item)
+            check_fields(_BATCH_ITEM_FIELDS, values)
+            if values["op"] == "compare":
                 results[position] = batch_item_ok(handle_compare(context, item))
-            elif op == "explain":
+            elif values["op"] == "explain":
                 results[position] = batch_item_ok(handle_explain(context, item))
             else:
                 request = _parse_quantify(context, item)
@@ -777,13 +618,8 @@ def handle_batch(context: ServiceContext, payload) -> dict:
                         (position, request)
                     )
                 else:
-                    document, was_hit = _answer(
-                        context,
-                        request,
-                        lambda request=request: _compute_quantify(context, request),
-                    )
                     results[position] = batch_item_ok(
-                        {**document, "cached": was_hit}
+                        _answer(context, request, _compute_quantify)
                     )
         except ServiceError as error:
             results[position] = batch_item_error(error)
@@ -978,145 +814,20 @@ def handle_readyz(context: ServiceContext, payload=None) -> tuple[int, dict]:
 # ----------------------------------------------------------------------
 
 
-def _field(
-    name: str,
-    type_: str,
-    description: str,
-    required: bool = False,
-    default=None,
-    enum: tuple[str, ...] | None = None,
-) -> dict:
-    entry: dict = {
-        "name": name,
-        "type": type_,
-        "required": required,
-        "description": description,
-    }
-    if default is not None:
-        entry["default"] = default
-    if enum is not None:
-        entry["enum"] = list(enum)
-    return entry
-
-
-def _common_query_fields() -> list[dict]:
-    return [
-        _field(
-            "dataset", "string",
-            "registered dataset name (see GET /v1/datasets)", required=True,
-        ),
-        _field(
-            "measure", "string",
-            "distance measure; defaults to the dataset's default_measure",
-            enum=tuple(available_measures()),
-        ),
-        _field(
-            "allow_stale", "boolean",
-            "opt in to a degraded last-known-good answer when the deadline "
-            "fires or a breaker is open",
-            default=False,
-        ),
-    ]
-
-
-def _quantify_fields() -> list[dict]:
-    return _common_query_fields() + [
-        _field(
-            "dimension", "string", "dimension to rank", required=True,
-            enum=_DIMENSIONS,
-        ),
-        _field("k", "integer", "how many members to return (positive)", default=5),
-        _field("order", "string", "rank direction", default="most", enum=_ORDERS),
-        _field(
-            "algorithm", "string", "sweep strategy", default="fagin",
-            enum=_QUANTIFY_ALGORITHMS,
-        ),
-    ]
-
-
-def _compare_fields() -> list[dict]:
-    return _common_query_fields() + [
-        _field(
-            "dimension", "string", "dimension r1/r2 belong to", required=True,
-            enum=_DIMENSIONS,
-        ),
-        _field(
-            "breakdown", "string", "dimension to break the comparison down by",
-            required=True, enum=_DIMENSIONS,
-        ),
-        _field(
-            "r1", "string",
-            "first member (groups use attr=value[,attr=value] syntax)",
-            required=True,
-        ),
-        _field("r2", "string", "second member, same syntax as r1", required=True),
-        _field(
-            "algorithm", "string", "comparison strategy", default="cube",
-            enum=_COMPARE_ALGORITHMS,
-        ),
-    ]
-
-
-def _explain_fields() -> list[dict]:
-    return _common_query_fields() + [
-        _field(
-            "group", "string", "group label, attr=value[,attr=value]",
-            required=True,
-        ),
-        _field("query", "string", "query of the cell to explain", required=True),
-        _field("location", "string", "location of the cell to explain", required=True),
-    ]
-
-
-def _whatif_fields() -> list[dict]:
-    return [
-        _field(
-            "dataset", "string",
-            "registered dataset name (see GET /v1/datasets); must be a "
-            "group-ranking (marketplace) dataset",
-            required=True,
-        ),
-        _field(
-            "group", "string",
-            "group to repair the ranking for, attr=value[,attr=value]",
-            required=True,
-        ),
-        _field("query", "string", "query of the cell to re-rank", required=True),
-        _field("location", "string", "location of the cell to re-rank", required=True),
-        _field(
-            "intervention", "string", "registered re-ranking intervention",
-            required=True, enum=tuple(available_interventions()),
-        ),
-        _field("alpha", "number", "FA*IR significance level, in (0, 0.5)"),
-        _field(
-            "p", "number",
-            "FA*IR null-hypothesis protected probability; defaults to the "
-            "group's share of the ranking",
-        ),
-        _field(
-            "seed", "integer",
-            "deterministic tie-break seed for exposure_lp", default=0,
-        ),
-        _field(
-            "allow_stale", "boolean",
-            "opt in to a degraded last-known-good answer when the deadline "
-            "fires or a breaker is open",
-            default=False,
-        ),
-    ]
+def _describe(table) -> list[dict]:
+    return [field.describe() for field in table]
 
 
 def service_schema() -> dict:
     """The ``GET /v1/schema`` document.
 
-    Generated from the same constants the validators consult
-    (``_DIMENSIONS``, ``_ORDERS``, the algorithm tables, the batch op list
-    and size cap), from the live measure and intervention registries
-    (:func:`~repro.core.measures.base.available_measures` and friends — a
-    measure registered at runtime appears here with no service edits), and
-    from :func:`~repro.service.errors.error_catalog`, so the advertised
-    enums and error codes can never drift from what the service actually
-    accepts and raises.
+    Each POST endpoint's ``request_fields`` is rendered from the field table
+    its parser walks, the enums of ``measure`` and ``intervention`` from the
+    live registries (a measure registered at runtime appears here with no
+    service edits), the batch limits from the constants ``/batch``
+    enforces, and the error catalog from
+    :func:`~repro.service.errors.error_catalog`, so the document describes
+    exactly what the service accepts and raises.
     """
     endpoint = lambda method, path, description, **extra: {  # noqa: E731
         "method": method,
@@ -1145,36 +856,29 @@ def service_schema() -> dict:
             endpoint(
                 "POST", "/quantify",
                 "Problem 1: top/bottom-k unfairness of one dimension",
-                request_fields=_quantify_fields(),
+                request_fields=_describe(QUANTIFY_FIELDS),
             ),
             endpoint(
                 "POST", "/compare",
                 "Problem 2: reversal breakdown of two members",
-                request_fields=_compare_fields(),
+                request_fields=_describe(COMPARE_FIELDS),
             ),
             endpoint(
                 "POST", "/explain",
                 "decompose one d<g,q,l> cell into contributions",
-                request_fields=_explain_fields(),
+                request_fields=_describe(EXPLAIN_FIELDS),
             ),
             endpoint(
                 "POST", "/whatif",
                 "hypothetically re-rank one cell's worker ranking with a "
                 "fairness intervention; reports before/after for every "
                 "registered group-ranking measure",
-                request_fields=_whatif_fields(),
+                request_fields=_describe(WHATIF_FIELDS),
             ),
             endpoint(
                 "POST", "/batch",
                 "many sub-requests in one call, sharing index sweeps",
-                request_fields=[
-                    _field(
-                        "requests", "array",
-                        "sub-requests; each carries an 'op' plus that "
-                        "endpoint's fields",
-                        required=True,
-                    ),
-                ],
+                request_fields=_describe(BATCH_FIELDS),
                 batch={
                     "max_items": _MAX_BATCH_ITEMS,
                     "ops": list(_BATCH_OPS),
@@ -1184,25 +888,7 @@ def service_schema() -> dict:
                 "POST", "/observations",
                 "live ingest: fold a batch of new rankings into a dataset "
                 "incrementally (delta cube/index maintenance)",
-                request_fields=[
-                    _field(
-                        "dataset", "string",
-                        "registered dataset name (see GET /v1/datasets)",
-                        required=True,
-                    ),
-                    _field(
-                        "batch_id", "string",
-                        "client-supplied idempotency key; a replayed batch "
-                        "returns the stored result instead of re-applying",
-                    ),
-                    _field(
-                        "observations", "array",
-                        "ranking batches; marketplace items carry query/"
-                        "location/ranking (+optional scores), search items "
-                        "query/location/results_by_user",
-                        required=True,
-                    ),
-                ],
+                request_fields=_describe(OBSERVATION_FIELDS),
             ),
             endpoint(
                 "GET", "/trends",
@@ -1214,13 +900,7 @@ def service_schema() -> dict:
                 "operations: live-resize the worker pool; migrates moving "
                 "datasets' state and flips routing atomically per dataset "
                 "(auth: X-Admin-Token when --admin-token is set)",
-                request_fields=[
-                    _field(
-                        "count", "integer",
-                        "target shard count (1-64); requires --shards",
-                        required=True,
-                    ),
-                ],
+                request_fields=_describe(ADMIN_SHARDS_FIELDS),
             ),
             endpoint(
                 "POST", "/datasets",
@@ -1228,23 +908,7 @@ def service_schema() -> dict:
                 "owning worker builds it lazily on first touch (auth: "
                 "X-Admin-Token when --admin-token is set; 409 on name "
                 "collision)",
-                request_fields=[
-                    _field(
-                        "name", "string",
-                        "registry key for the new dataset",
-                        required=True,
-                    ),
-                    _field(
-                        "scenario", "string",
-                        "preset name (see GET /v1/scenarios)",
-                        required=True,
-                    ),
-                    _field(
-                        "overrides", "object",
-                        "scenario field overrides (seed, workers, cities, "
-                        "bias_scale, ...); identity fields are protected",
-                    ),
-                ],
+                request_fields=_describe(DATASET_FIELDS),
             ),
             endpoint(
                 "GET", "/datasets",

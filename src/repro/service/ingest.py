@@ -42,8 +42,10 @@ from ..data.schema import MarketplaceObservation, SearchObservation
 from ..exceptions import DataError, ReproError
 from .encoding import parse_group
 from .errors import BadRequest, Conflict, ServiceError, Unprocessable
+from .fields import DATASET, Field, decode_fields, require_object, string_field
 
 __all__ = [
+    "OBSERVATION_FIELDS",
     "IngestManager",
     "decode_observations",
     "encode_observation",
@@ -68,23 +70,28 @@ _LEDGER_CAPACITY = 256
 # ----------------------------------------------------------------------
 
 
-def _require_object(payload) -> Mapping:
-    if not isinstance(payload, Mapping):
-        raise BadRequest(
-            f"request body must be a JSON object, got {type(payload).__name__}"
-        )
-    return payload
-
-
-def _string_field(payload: Mapping, name: str, required: bool = True) -> str | None:
-    value = payload.get(name)
-    if value is None:
-        if required:
-            raise BadRequest(f"missing required field {name!r}")
-        return None
-    if not isinstance(value, str) or not value:
-        raise BadRequest(f"field {name!r} must be a non-empty string")
-    return value
+OBSERVATION_FIELDS = (
+    DATASET,
+    Field(
+        "batch_id", "string",
+        "client-supplied idempotency key; a replayed batch returns the "
+        "stored result instead of re-applying",
+    ),
+    Field(
+        "sequence", "natural",
+        "client-supplied batch sequence number, strictly increasing per "
+        "dataset; an unknown batch_id at or below the applied high-water "
+        "mark is rejected with 409 batch_conflict",
+    ),
+    Field(
+        "observations", "array",
+        "ranking batches; marketplace items carry query/location/ranking "
+        "(+optional scores), search items query/location/results_by_user",
+        required=True,
+    ),
+)
+"""The ``POST /observations`` field table.  Items are decoded by
+:func:`decode_observations` once the dataset's site is known."""
 
 
 def _ranked_list(where: str, items, scores=None) -> RankedList:
@@ -103,8 +110,8 @@ def _ranked_list(where: str, items, scores=None) -> RankedList:
 
 
 def _decode_marketplace(position: int, item: Mapping) -> MarketplaceObservation:
-    query = _string_field(item, "query")
-    location = _string_field(item, "location")
+    query = string_field(item, "query")
+    location = string_field(item, "location")
     ranking = _ranked_list(
         f"observations[{position}].ranking",
         item.get("ranking"),
@@ -117,8 +124,8 @@ def _decode_marketplace(position: int, item: Mapping) -> MarketplaceObservation:
 
 
 def _decode_search(position: int, item: Mapping) -> SearchObservation:
-    query = _string_field(item, "query")
-    location = _string_field(item, "location")
+    query = string_field(item, "query")
+    location = string_field(item, "location")
     results = item.get("results_by_user")
     if not isinstance(results, Mapping) or not results:
         raise BadRequest(
@@ -528,35 +535,33 @@ def handle_observations(context, payload) -> dict:
     payload over the frame protocol and syncs its generation counter from
     the response).
     """
-    payload = _require_object(payload)
-    name = _string_field(payload, "dataset")
-    batch_id = _string_field(payload, "batch_id", required=False)
-    sequence = payload.get("sequence")
-    if sequence is not None and (
-        isinstance(sequence, bool) or not isinstance(sequence, int) or sequence < 0
-    ):
-        raise BadRequest("field 'sequence' must be a non-negative integer")
+    values = decode_fields(OBSERVATION_FIELDS, payload)
+    name = values["dataset"]
     spec = context.registry.spec(name)  # 404 before any decoding work
-    observations = decode_observations(spec.site, payload.get("observations"))
+    observations = decode_observations(spec.site, values["observations"])
     return context.ingest.ingest(
-        context.registry, name, batch_id, observations, sequence=sequence
+        context.registry,
+        name,
+        values["batch_id"],
+        observations,
+        sequence=values["sequence"],
     )
 
 
 def trends_document(context, payload) -> dict:
     """The ``/trends`` answer; shared by the GET route and worker dispatch."""
-    params = _require_object(payload if payload is not None else {})
-    name = _string_field(params, "dataset")
+    params = require_object(payload if payload is not None else {})
+    name = string_field(params, "dataset")
     router = context.router
     if router is not None:
         return router.execute("/trends", dict(params), router.request_timeout)
     spec = context.registry.spec(name)
     measure = (
-        _string_field(params, "measure", required=False) or spec.default_measure
+        string_field(params, "measure", required=False) or spec.default_measure
     ).lower()
-    group_text = _string_field(params, "group")
-    query = _string_field(params, "query")
-    location = _string_field(params, "location")
+    group_text = string_field(params, "group")
+    query = string_field(params, "query")
+    location = string_field(params, "location")
     try:
         group = parse_group(group_text)
     except ServiceError:

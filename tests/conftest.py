@@ -11,6 +11,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.attributes import default_schema
 from repro.core.cube import UnfairnessCube
@@ -20,6 +21,11 @@ from repro.marketplace.crawl import run_crawl
 from repro.marketplace.site import TaskRabbitSite
 from repro.searchengine.engine import GoogleJobsEngine
 from repro.searchengine.study import StudyDesign, run_study
+
+# Property tests must not depend on wall-clock time or on a random seed: no
+# per-example deadline, and examples derived from each test's own source.
+settings.register_profile("repro", deadline=None, derandomize=True)
+settings.load_profile("repro")
 
 SMALL_CITIES = (
     "Birmingham, UK",

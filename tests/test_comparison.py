@@ -99,7 +99,7 @@ class TestCompareValidation:
 
 
 class TestIndexBackedAlgorithm:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(seed=st.integers(0, 1_000))
     def test_matches_cube_based_compare(self, seed):
         cube = make_cube(4, 3, 4, seed=seed)

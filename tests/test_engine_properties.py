@@ -44,7 +44,7 @@ class TestPerturbationStructure:
             assert set(page.items) <= pool
             assert len(page) == len(base_ranking("yard work", "London, UK"))
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(seed=st.integers(0, 500))
     def test_divergence_tracks_measured_distance(self, seed):
         """Across profiles, calibrated divergence and measured distance from

@@ -24,7 +24,7 @@ class TestAgreementWithNaive:
         assert fagin.keys() == naive.keys()
         assert fagin.values() == pytest.approx(naive.values())
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         seed=st.integers(0, 10_000),
         k=st.integers(1, 6),

@@ -220,6 +220,20 @@ class TestSchemaEndpoint:
         assert set(batch["batch"]["ops"]) == {"quantify", "compare", "explain"}
         assert doc["errors"] == error_catalog()
 
+    def test_schema_lists_every_accepted_field(self, service):
+        _, body, _ = _exchange(service.url, "GET", "/v1/schema")
+        doc = json.loads(body)
+        fields = {
+            (endpoint["method"], endpoint["path"]): {
+                entry["name"]: entry for entry in endpoint.get("request_fields", ())
+            }
+            for endpoint in doc["endpoints"]
+        }
+        sequence = fields[("POST", "/v1/observations")]["sequence"]
+        assert sequence["type"] == "integer" and sequence["required"] is False
+        description = fields[("POST", "/v1/datasets")]["description"]
+        assert description["type"] == "string" and description["required"] is False
+
 
 class TestClientSpeaksV1:
     def test_endpoint_sugar_uses_the_versioned_mount(self, service):
