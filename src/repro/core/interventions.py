@@ -36,7 +36,9 @@ import numpy as np
 from ..exceptions import MeasureError
 from .measures.base import (
     GROUP_RANKING,
+    ComponentInfo,
     MeasureOption,
+    Registry,
     filter_options,
     get_measure,
     measures_for_family,
@@ -327,25 +329,14 @@ def exposure_lp_rerank(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InterventionInfo:
+@dataclass(frozen=True, kw_only=True)
+class InterventionInfo(ComponentInfo):
     """One registered intervention: applier plus schema metadata."""
 
-    name: str
     apply: Callable[..., RankedList] = field(compare=False)
-    description: str = ""
-    options: tuple[MeasureOption, ...] = ()
-
-    def describe(self) -> dict:
-        """The ``GET /v1/schema`` entry for this intervention."""
-        return {
-            "name": self.name,
-            "description": self.description,
-            "options": [option.describe() for option in self.options],
-        }
 
 
-_INTERVENTIONS: dict[str, InterventionInfo] = {}
+_INTERVENTIONS = Registry("intervention", InterventionInfo)
 
 
 def register_intervention(
@@ -359,27 +350,19 @@ def register_intervention(
     ``apply(ranking, group_members, comparable_members, **options)`` must
     return a re-ranked :class:`RankedList` over the same items.
     """
-    key = name.lower()
-    if key in _INTERVENTIONS:
-        raise MeasureError(f"intervention {name!r} is already registered")
-    _INTERVENTIONS[key] = InterventionInfo(
-        name=key, apply=apply, description=description, options=tuple(options)
+    _INTERVENTIONS.register(
+        name, apply=apply, description=description, options=tuple(options)
     )
 
 
 def intervention_info(name: str) -> InterventionInfo:
     """The record for ``name``; :class:`MeasureError` on a miss."""
-    try:
-        return _INTERVENTIONS[name.lower()]
-    except KeyError:
-        raise MeasureError(
-            f"unknown intervention {name!r}; available: {sorted(_INTERVENTIONS)}"
-        ) from None
+    return _INTERVENTIONS.info(name)
 
 
 def available_interventions() -> list[str]:
     """Names of all registered interventions."""
-    return sorted(_INTERVENTIONS)
+    return _INTERVENTIONS.names()
 
 
 @dataclass(frozen=True)

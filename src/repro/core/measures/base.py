@@ -30,10 +30,12 @@ from ..rankings import RankedList
 __all__ = [
     "GROUP_RANKING",
     "RANKED_LIST",
+    "ComponentInfo",
     "GroupRankingMeasure",
     "MeasureInfo",
     "MeasureOption",
     "RankedListMeasure",
+    "Registry",
     "available_measures",
     "default_measure_for_site",
     "family_for_site",
@@ -124,31 +126,85 @@ def filter_options(
     }
 
 
-@dataclass(frozen=True)
-class MeasureInfo:
-    """Everything the registry knows about one measure."""
+@dataclass(frozen=True, kw_only=True)
+class ComponentInfo:
+    """One registered component — a measure or an intervention — with the
+    name, description and option schema ``GET /v1/schema`` publishes."""
 
     name: str
-    factory: Callable[..., object] = field(compare=False)
-    family: str | None = None
     description: str = ""
     options: tuple[MeasureOption, ...] = ()
+
+    def describe(self) -> dict:
+        """The ``GET /v1/schema`` entry for this component."""
+        return {
+            "name": self.name,
+            "description": self.description,
+            "options": [option.describe() for option in self.options],
+        }
+
+
+class Registry:
+    """Case-insensitive name → record map: the one registry shape.
+
+    ``kind`` names the component in errors; ``record`` is the record type
+    :meth:`register` builds (its own checks run after the duplicate check).
+    """
+
+    def __init__(self, kind: str, record: type[ComponentInfo]) -> None:
+        self.kind = kind
+        self.record = record
+        self._records: dict[str, ComponentInfo] = {}
+
+    def register(self, name: str, **fields: object) -> None:
+        key = name.lower()
+        if key in self._records:
+            raise MeasureError(f"{self.kind} {name!r} is already registered")
+        self._records[key] = self.record(name=key, **fields)
+
+    def unregister(self, name: str) -> None:
+        self._records.pop(name.lower(), None)
+
+    def info(self, name: str):
+        """The record for ``name``; :class:`MeasureError` on a miss."""
+        try:
+            return self._records[name.lower()]
+        except KeyError:
+            raise MeasureError(
+                f"unknown {self.kind} {name!r}; available: {self.names()}"
+            ) from None
+
+    def names(self) -> list[str]:
+        """Every registered name, sorted."""
+        return sorted(self._records)
+
+
+@dataclass(frozen=True, kw_only=True)
+class MeasureInfo(ComponentInfo):
+    """Everything the registry knows about one measure."""
+
+    factory: Callable[..., object] = field(compare=False)
+    family: str | None = None
     default_for: tuple[str, ...] = ()
     """Site types (``"taskrabbit"`` / ``"google"``) whose datasets default
     to this measure when a request names none."""
 
+    def __post_init__(self) -> None:
+        if self.family is not None and self.family not in FAMILIES:
+            raise MeasureError(
+                f"family must be one of {FAMILIES}, got {self.family!r}"
+            )
+
     def describe(self) -> dict:
-        """The ``GET /v1/schema`` entry for this measure."""
         return {
             "name": self.name,
             "family": self.family,
-            "description": self.description,
-            "options": [option.describe() for option in self.options],
+            **super().describe(),
             "default_for": list(self.default_for),
         }
 
 
-_REGISTRY: dict[str, MeasureInfo] = {}
+_MEASURES = Registry("measure", MeasureInfo)
 
 
 def register_measure(
@@ -166,13 +222,8 @@ def register_measure(
     engine will accept it (the family check is how a ranked-list measure is
     kept out of a marketplace request with a clear 422).
     """
-    key = name.lower()
-    if key in _REGISTRY:
-        raise MeasureError(f"measure {name!r} is already registered")
-    if family is not None and family not in FAMILIES:
-        raise MeasureError(f"family must be one of {FAMILIES}, got {family!r}")
-    _REGISTRY[key] = MeasureInfo(
-        name=key,
+    _MEASURES.register(
+        name,
         factory=factory,
         family=family,
         description=description,
@@ -183,17 +234,12 @@ def register_measure(
 
 def unregister_measure(name: str) -> None:
     """Remove a registered measure (test cleanup for dynamic registration)."""
-    _REGISTRY.pop(name.lower(), None)
+    _MEASURES.unregister(name)
 
 
 def measure_info(name: str) -> MeasureInfo:
     """The metadata record for ``name``; :class:`MeasureError` on a miss."""
-    try:
-        return _REGISTRY[name.lower()]
-    except KeyError:
-        raise MeasureError(
-            f"unknown measure {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None
+    return _MEASURES.info(name)
 
 
 def get_measure(name: str, **options: object) -> object:
@@ -206,12 +252,12 @@ def get_measure(name: str, **options: object) -> object:
 
 def available_measures() -> list[str]:
     """Names of all registered measures."""
-    return sorted(_REGISTRY)
+    return _MEASURES.names()
 
 
 def measures_for_family(family: str) -> list[str]:
     """Names of the registered measures in one family, sorted."""
-    return sorted(key for key, info in _REGISTRY.items() if info.family == family)
+    return [name for name in _MEASURES.names() if measure_info(name).family == family]
 
 
 def default_measure_for_site(site: str) -> str:
@@ -223,7 +269,7 @@ def default_measure_for_site(site: str) -> str:
     unservable — a loud error beats a silent guess.
     """
     for name in available_measures():
-        if site in _REGISTRY[name].default_for:
+        if site in measure_info(name).default_for:
             return name
     raise MeasureError(
         f"no registered measure declares itself the default for site "

@@ -77,7 +77,7 @@ from .handlers import (
     resolve_degraded,
 )
 from .ingest import IngestManager, handle_observations, handle_trends, trends_document
-from .observability import ServiceMetrics, render_metrics
+from .observability import ServiceMetrics, merge_counters, render_metrics
 from .registry import DatasetRegistry, default_registry
 from .resilience import AdmissionController
 
@@ -394,7 +394,7 @@ class FBoxApp:
         GET endpoints and the cached fast path run inline (they only touch
         synchronized in-memory state); POST query work is admitted via the
         controller's async path and executed on the bounded thread pool
-        under an ``asyncio.wait_for`` deadline.
+        under an ``asyncio.wait`` deadline.
         """
         return self._handle_async(request)
 
@@ -509,7 +509,7 @@ class FBoxApp:
             status = error.status
             retry_after = error.retry_after
             if isinstance(error, RequestTimeout):
-                metrics.record_timeout()
+                metrics.count(timeouts=1)
             body = _error_body(error)
         except Exception as error:  # pragma: no cover - defensive
             status = 500
@@ -770,7 +770,7 @@ class FBoxApp:
             return 200, fast
         if context.router is not None:
             # Routed calls block on a worker socket, not the CPU: run them
-            # on the pool to keep the loop free, but with no wait_for —
+            # on the pool to keep the loop free, but with no deadline —
             # the worker owns the deadline, and a second one here would
             # count every slow request twice.
             execute_async = lambda: self._on_pool(  # noqa: E731
@@ -828,7 +828,7 @@ class FBoxApp:
     ) -> None:
         metrics = self.context.metrics
         if metrics is not None:
-            metrics.record_abandoned()
+            metrics.count(abandoned_requests=1)
         # Retrieve the asyncio mirror's eventual exception so the loop never
         # warns about it; the authoritative log comes from the pool future.
         wrapped.add_done_callback(
@@ -850,58 +850,27 @@ class FBoxApp:
 
     async def _metrics_response(self) -> tuple[int, bytes]:
         context = self.context
-        cache_stats = dict(context.cache.stats())
-        build_counts = dict(context.registry.build_counts())
+        counters = context.counters()
         breaker_states = context.registry.breaker_states()
         fault_stats = (
             context.faults.snapshot() if context.faults is not None else None
         )
-        # Ingest/alert counters ride in extra_counters on both backends:
-        # in-process they are this context's manager totals; under sharding
-        # the workers' counters are summed on top below.
-        extra_counters = dict(context.ingest.counters())
         if context.router is not None:
-            # Under sharding the truth for caches, builds, index accesses,
-            # abandonment/degradation, dataset breakers, and fired faults
-            # lives in the workers; fold their snapshots into the front's
-            # exposition so one scrape covers the whole logical service.
-            merged = context.router.merged_observability()
-            for stats in merged["cache"]:
-                for key in (
-                    "hits", "misses", "evictions", "expirations",
-                    "size", "capacity",
-                ):
-                    cache_stats[key] = cache_stats.get(key, 0) + stats.get(key, 0)
-            for builds in merged["builds"]:
-                for key in (
-                    "cube_builds", "family_builds", "fboxes",
-                    "delta_applies", "delta_cells", "delta_lists",
-                    "segment_attaches",
-                ):
-                    build_counts[key] = build_counts.get(key, 0) + builds.get(key, 0)
-            breaker_states = merged["breakers"]
-            if fault_stats is not None or merged["faults"]:
-                fault_stats = list(fault_stats or ()) + list(merged["faults"])
-            for key in (
-                "sorted_accesses", "random_accesses",
-                "abandoned_requests", "degraded_responses",
-            ):
-                extra_counters.setdefault(key, 0)
-            for counters in merged["counters"]:
-                for key in extra_counters:
-                    extra_counters[key] += int(counters.get(key, 0))
+            # Under sharding the workers hold the truth for the summed
+            # counters, dataset breakers and fired faults; fold their
+            # status frames in so one scrape covers the whole service.
+            workers = context.router.merged_observability()
+            counters = merge_counters(counters, workers["counters"])
+            breaker_states = workers["breakers"]
+            if fault_stats is not None or workers["faults"]:
+                fault_stats = list(fault_stats or ()) + workers["faults"]
+        admission = context.admission
         text = render_metrics(
-            context.metrics,
-            cache_stats,
-            build_counts,
-            admission_stats=(
-                context.admission.snapshot()
-                if context.admission is not None
-                else None
-            ),
+            context.metrics.snapshot(),
+            counters,
+            admission_stats=admission.snapshot() if admission is not None else None,
             breaker_states=breaker_states,
             fault_stats=fault_stats,
-            extra_counters=extra_counters,
         )
         return 200, text.encode("utf-8")
 

@@ -22,17 +22,18 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
+from ..core.measures import available_measures
 from ..exceptions import ReproError
 from .encoding import parse_group, parse_member
 from .errors import BadRequest, Unprocessable
 
 __all__ = [
     "DATASET",
+    "MEASURE",
     "Field",
     "check_fields",
     "decode_fields",
     "require_object",
-    "string_field",
 ]
 
 
@@ -92,6 +93,22 @@ def _array(name: str, value):
     return value
 
 
+def _strings(name: str, value):
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(item, str) for item in value
+    ):
+        raise BadRequest(f"field {name!r} must be a JSON array of strings")
+    return tuple(value)
+
+
+def _numbers(name: str, value):
+    return {str(key): _number(name, item) for key, item in _object(name, value).items()}
+
+
+def _rankings(name: str, value):
+    return {str(key): _strings(name, item) for key, item in _object(name, value).items()}
+
+
 _KINDS: dict[str, tuple[str, Callable]] = {
     # kind: (JSON type, envelope decoder)
     "string": ("string", _string),  # non-empty
@@ -105,6 +122,9 @@ _KINDS: dict[str, tuple[str, Callable]] = {
     "number": ("number", _number),  # int or float, decoded to float
     "object": ("object", _object),
     "array": ("array", _array),
+    "strings": ("array", _strings),  # of strings, decoded to a tuple
+    "numbers": ("object", _numbers),  # of numbers, decoded to floats
+    "rankings": ("object", _rankings),  # of string arrays, decoded to tuples
 }
 
 
@@ -115,6 +135,8 @@ class Field:
     ``enum`` is a static tuple, or a zero-argument callable for a live
     registry (measures, interventions) so runtime registrations are both
     accepted and advertised.  ``minimum`` bounds an ``int`` field.
+    ``items`` documents the element tables of an ``array`` field, by kind
+    of element.
     """
 
     name: str
@@ -124,6 +146,7 @@ class Field:
     default: object = None
     enum: tuple[str, ...] | Callable[[], list[str]] | None = None
     minimum: int | None = None
+    items: Mapping[str, tuple[Field, ...]] | None = None
 
     def __post_init__(self) -> None:
         # The kind's envelope decoder, resolved once at import.
@@ -144,6 +167,11 @@ class Field:
         enum = self.enum() if callable(self.enum) else self.enum
         if enum is not None:
             entry["enum"] = list(enum)
+        if self.items is not None:
+            entry["items"] = {
+                kind: [field.describe() for field in table]
+                for kind, table in self.items.items()
+            }
         return entry
 
 
@@ -152,6 +180,13 @@ DATASET = Field(
     "registered dataset name (see GET /v1/datasets)", required=True,
 )
 """The ``dataset`` field every dataset-addressed endpoint shares."""
+
+MEASURE = Field(
+    "measure", "string",
+    "distance measure; defaults to the dataset's default_measure",
+    enum=available_measures,
+)
+"""The ``measure`` field of the endpoints that read one F-Box."""
 
 
 def decode_fields(table: tuple[Field, ...], payload) -> dict:
@@ -203,13 +238,3 @@ def check_fields(table: tuple[Field, ...], values: dict) -> None:
         elif field.kind == "member":
             values[name] = _semantic(parse_member, values["dimension"], value)
 
-
-def string_field(payload: Mapping, name: str, required: bool = True) -> str | None:
-    """One non-empty string field outside a table (``/trends`` params,
-    observation items)."""
-    value = payload.get(name)
-    if value is None:
-        if required:
-            raise BadRequest(f"missing required field {name!r}")
-        return None
-    return _string(name, value)

@@ -54,8 +54,8 @@ from .encoding import (
 )
 from .errors import BadRequest, ServiceError, Unprocessable, error_catalog
 from .faults import FaultInjector
-from .fields import DATASET, Field, check_fields, decode_fields
-from .ingest import OBSERVATION_FIELDS, IngestManager
+from .fields import DATASET, MEASURE, Field, check_fields, decode_fields
+from .ingest import OBSERVATION_FIELDS, TRENDS_FIELDS, IngestManager
 from .observability import ServiceMetrics
 from .registry import DatasetRegistry
 from .resilience import AdmissionController
@@ -105,11 +105,6 @@ request deadline, so unbounded batches would turn into guaranteed 503s)."""
 # The field tables
 # ----------------------------------------------------------------------
 
-_MEASURE = Field(
-    "measure", "string",
-    "distance measure; defaults to the dataset's default_measure",
-    enum=available_measures,
-)
 _ALLOW_STALE = Field(
     "allow_stale", "bool",
     "opt in to a degraded last-known-good answer when the deadline "
@@ -119,7 +114,7 @@ _ALLOW_STALE = Field(
 
 QUANTIFY_FIELDS = (
     DATASET,
-    _MEASURE,
+    MEASURE,
     _ALLOW_STALE,
     Field(
         "dimension", "choice", "dimension to rank", required=True,
@@ -138,7 +133,7 @@ QUANTIFY_FIELDS = (
 
 COMPARE_FIELDS = (
     DATASET,
-    _MEASURE,
+    MEASURE,
     _ALLOW_STALE,
     Field(
         "dimension", "choice", "dimension r1/r2 belong to", required=True,
@@ -162,7 +157,7 @@ COMPARE_FIELDS = (
 
 EXPLAIN_FIELDS = (
     DATASET,
-    _MEASURE,
+    MEASURE,
     _ALLOW_STALE,
     Field(
         "group", "group", "group label, attr=value[,attr=value]", required=True,
@@ -264,6 +259,17 @@ class ServiceContext:
     is on (typed loosely to keep this module import-light).  When set, POST
     query execution and the dataset-truth surfaces (``/datasets``,
     ``/readyz``, the worker half of ``/metrics``) go through it."""
+
+    def counters(self) -> dict[str, int]:
+        """Every scalar ``/metrics`` counter this process holds, flat: the
+        metrics' own plus cache events, builds and ingest totals (the shape
+        a shard worker ships in its status frame)."""
+        return {
+            **self.metrics.counters(),
+            **self.cache.stats(),
+            **self.registry.build_counts(),
+            **self.ingest.counters(),
+        }
 
 
 def _run_query(fn):
@@ -547,7 +553,7 @@ def resolve_degraded(
     if entry is None:
         return None
     document, generation = entry
-    context.metrics.record_degraded()
+    context.metrics.count(degraded_responses=1)
     return {
         **document,
         "cached": True,
@@ -650,8 +656,11 @@ def handle_batch(context: ServiceContext, payload) -> dict:
             for position, _ in members:
                 results[position] = batch_item_error(error)
 
-    context.metrics.record_batch(
-        items=len(items), groups=len(plans), shared_items=shared_items
+    context.metrics.count(
+        batches=1,
+        batch_items=len(items),
+        batch_groups=len(plans),
+        batch_shared_items=shared_items,
     )
     return encode_batch(results, sweep_groups=len(plans), shared_items=shared_items)
 
@@ -893,7 +902,8 @@ def service_schema() -> dict:
             endpoint(
                 "GET", "/trends",
                 "one cube cell's measure values across ingest generations "
-                "(query params: dataset, group, query, location[, measure])",
+                "(request_fields are query parameters)",
+                request_fields=_describe(TRENDS_FIELDS),
             ),
             endpoint(
                 "POST", "/admin/shards",

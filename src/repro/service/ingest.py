@@ -40,12 +40,14 @@ from ..core.rankings import RankedList
 from ..core.unfairness import MarketplaceUnfairness, SearchEngineUnfairness
 from ..data.schema import MarketplaceObservation, SearchObservation
 from ..exceptions import DataError, ReproError
-from .encoding import parse_group
-from .errors import BadRequest, Conflict, ServiceError, Unprocessable
-from .fields import DATASET, Field, decode_fields, require_object, string_field
+from .errors import BadRequest, Conflict, Unprocessable
+from .fields import DATASET, MEASURE, Field, check_fields, decode_fields
 
 __all__ = [
+    "MARKETPLACE_ITEM_FIELDS",
     "OBSERVATION_FIELDS",
+    "SEARCH_ITEM_FIELDS",
+    "TRENDS_FIELDS",
     "IngestManager",
     "decode_observations",
     "encode_observation",
@@ -70,6 +72,31 @@ _LEDGER_CAPACITY = 256
 # ----------------------------------------------------------------------
 
 
+_QUERY = Field("query", "string", "the crawled query", required=True)
+_LOCATION = Field("location", "string", "the crawled location", required=True)
+
+MARKETPLACE_ITEM_FIELDS = (
+    _QUERY,
+    _LOCATION,
+    Field("ranking", "strings", "worker ids, best first", required=True),
+    Field(
+        "scores", "numbers",
+        "worker id -> relevance score in [0, 1], one per ranked worker",
+    ),
+)
+"""One observation of a group-ranking (marketplace) dataset."""
+
+SEARCH_ITEM_FIELDS = (
+    _QUERY,
+    _LOCATION,
+    Field(
+        "results_by_user", "rankings",
+        "user id -> that user's result list; non-empty",
+        required=True,
+    ),
+)
+"""One observation of a ranked-list (search) dataset."""
+
 OBSERVATION_FIELDS = (
     DATASET,
     Field(
@@ -85,73 +112,40 @@ OBSERVATION_FIELDS = (
     ),
     Field(
         "observations", "array",
-        "ranking batches; marketplace items carry query/location/ranking "
-        "(+optional scores), search items query/location/results_by_user",
+        "ranking batches, decoded by the dataset's site kind",
         required=True,
+        items={"marketplace": MARKETPLACE_ITEM_FIELDS, "search": SEARCH_ITEM_FIELDS},
     ),
 )
 """The ``POST /observations`` field table.  Items are decoded by
 :func:`decode_observations` once the dataset's site is known."""
 
 
-def _ranked_list(where: str, items, scores=None) -> RankedList:
-    if not isinstance(items, (list, tuple)) or not all(
-        isinstance(item, str) for item in items
-    ):
-        raise BadRequest(f"{where} must be a JSON array of strings")
-    if scores is not None:
-        if not isinstance(scores, Mapping):
-            raise BadRequest(f"scores in {where} must be a JSON object")
-        scores = {str(key): float(value) for key, value in scores.items()}
-    try:
-        return RankedList(items=tuple(items), scores=scores)
-    except ReproError as error:
-        raise Unprocessable(f"{where}: {error}") from error
-
-
-def _decode_marketplace(position: int, item: Mapping) -> MarketplaceObservation:
-    query = string_field(item, "query")
-    location = string_field(item, "location")
-    ranking = _ranked_list(
-        f"observations[{position}].ranking",
-        item.get("ranking"),
-        item.get("scores"),
+def _decode_marketplace(values: dict) -> MarketplaceObservation:
+    ranking = RankedList(items=values["ranking"], scores=values["scores"])
+    return MarketplaceObservation(
+        query=values["query"], location=values["location"], ranking=ranking
     )
-    try:
-        return MarketplaceObservation(query=query, location=location, ranking=ranking)
-    except ReproError as error:
-        raise Unprocessable(f"observations[{position}]: {error}") from error
 
 
-def _decode_search(position: int, item: Mapping) -> SearchObservation:
-    query = string_field(item, "query")
-    location = string_field(item, "location")
-    results = item.get("results_by_user")
-    if not isinstance(results, Mapping) or not results:
-        raise BadRequest(
-            f"observations[{position}].results_by_user must be a non-empty "
-            "JSON object of user → result list"
-        )
-    decoded = {
-        str(user): _ranked_list(
-            f"observations[{position}].results_by_user[{user!r}]", items
-        )
-        for user, items in results.items()
-    }
-    try:
-        return SearchObservation(
-            query=query, location=location, results_by_user=decoded
-        )
-    except ReproError as error:
-        raise Unprocessable(f"observations[{position}]: {error}") from error
+def _decode_search(values: dict) -> SearchObservation:
+    results = values["results_by_user"]
+    if not results:
+        raise BadRequest("field 'results_by_user' must be a non-empty JSON object")
+    return SearchObservation(
+        query=values["query"],
+        location=values["location"],
+        results_by_user={user: RankedList(items) for user, items in results.items()},
+    )
 
 
 def decode_observations(site: str, items) -> list:
     """Validate a batch of raw observation payloads for one site kind.
 
-    Envelope problems (wrong types, missing fields) raise
-    :class:`BadRequest`; semantic ones (duplicate ranks, empty rankings)
-    raise :class:`Unprocessable`, matching the service-wide policy.
+    Each item is decoded by its site's field table.  Envelope problems
+    (wrong types, missing fields) raise :class:`BadRequest`; semantic ones
+    (duplicate ranks, empty rankings, scores outside [0, 1]) raise
+    :class:`Unprocessable`, matching the service-wide policy.
     """
     if not isinstance(items, (list, tuple)):
         raise BadRequest(
@@ -164,15 +158,23 @@ def decode_observations(site: str, items) -> list:
             f"batch exceeds {_MAX_INGEST_OBSERVATIONS} observations "
             f"(got {len(items)})"
         )
-    decode = _decode_marketplace if site == "taskrabbit" else _decode_search
+    if site == "taskrabbit":
+        table, decode = MARKETPLACE_ITEM_FIELDS, _decode_marketplace
+    else:
+        table, decode = SEARCH_ITEM_FIELDS, _decode_search
     decoded = []
     for position, item in enumerate(items):
+        where = f"observations[{position}]"
         if not isinstance(item, Mapping):
             raise BadRequest(
-                f"observations[{position}] must be a JSON object, "
-                f"got {type(item).__name__}"
+                f"{where} must be a JSON object, got {type(item).__name__}"
             )
-        decoded.append(decode(position, item))
+        try:
+            decoded.append(decode(decode_fields(table, item)))
+        except BadRequest as error:
+            raise BadRequest(f"{where}: {error}") from error
+        except ReproError as error:  # a ranking or observation the data rejects
+            raise Unprocessable(f"{where}: {error}") from error
     return decoded
 
 
@@ -548,32 +550,38 @@ def handle_observations(context, payload) -> dict:
     )
 
 
+TRENDS_FIELDS = (
+    DATASET,
+    MEASURE,
+    Field(
+        "group", "group", "group label of the cell, attr=value[,attr=value]",
+        required=True,
+    ),
+    Field("query", "string", "query of the cell", required=True),
+    Field("location", "string", "location of the cell", required=True),
+)
+"""The ``GET /trends`` query parameters."""
+
+
 def trends_document(context, payload) -> dict:
     """The ``/trends`` answer; shared by the GET route and worker dispatch."""
-    params = require_object(payload if payload is not None else {})
-    name = string_field(params, "dataset")
+    params = payload if payload is not None else {}
+    values = decode_fields(TRENDS_FIELDS, params)
     router = context.router
     if router is not None:
         return router.execute("/trends", dict(params), router.request_timeout)
+    name = values["dataset"]
     spec = context.registry.spec(name)
-    measure = (
-        string_field(params, "measure", required=False) or spec.default_measure
-    ).lower()
-    group_text = string_field(params, "group")
-    query = string_field(params, "query")
-    location = string_field(params, "location")
-    try:
-        group = parse_group(group_text)
-    except ServiceError:
-        raise
-    except ReproError as error:
-        raise Unprocessable(str(error)) from error
-    points = context.ingest.trends(name, measure, str(group), query, location)
+    values["measure"] = (values["measure"] or spec.default_measure).lower()
+    check_fields(TRENDS_FIELDS, values)
+    group = str(values["group"])
+    query, location = values["query"], values["location"]
+    points = context.ingest.trends(name, values["measure"], group, query, location)
     return {
         "kind": "trends",
         "dataset": name,
-        "measure": measure,
-        "group": str(group),
+        "measure": values["measure"],
+        "group": group,
         "query": query,
         "location": location,
         "alert_threshold": context.ingest.alert_threshold,

@@ -16,7 +16,7 @@ front's event loop awaits, driven here by
 connection thread, against a worker-local
 :class:`~repro.service.handlers.ServiceContext` — so parsing, validation,
 caching, breaker accounting, deadline enforcement (the app's bounded pool
-under ``asyncio.wait_for``), and degraded stale answers behave
+under ``asyncio.wait``), and degraded stale answers behave
 byte-for-byte like the unsharded service.  Admission control stays
 front-side (the router is one logical service; shedding twice would
 double-count), which is why the worker's context has no controller.
@@ -124,7 +124,6 @@ def _status_document(
     """The worker-truth half of the service's observability surface: the
     router merges these into ``/datasets``, ``/readyz``, and ``/metrics``."""
     registry = context.registry
-    snap = context.metrics.snapshot()
     datasets = []
     for entry in registry.describe():
         entry = dict(entry)
@@ -136,15 +135,7 @@ def _status_document(
         "datasets": datasets,
         "health": registry.health_report(),
         "breakers": registry.breaker_states(),
-        "cache": context.cache.stats(),
-        "builds": registry.build_counts(),
-        "counters": {
-            "sorted_accesses": snap["sorted_accesses"],
-            "random_accesses": snap["random_accesses"],
-            "abandoned_requests": snap["abandoned_requests"],
-            "degraded_responses": snap["degraded_responses"],
-            **context.ingest.counters(),
-        },
+        "counters": context.counters(),
         "faults": faults.snapshot() if faults is not None else [],
     }
 

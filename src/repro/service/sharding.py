@@ -665,7 +665,7 @@ class ShardRouter:
                     self._moving.pop(name, None)
                 migrated.append(name)
                 if self.metrics is not None:
-                    self.metrics.record_dataset_migrated()
+                    self.metrics.count(datasets_migrated=1)
         except BaseException:
             # Leave the placement table in force: every dataset still routes
             # to a worker that holds its state (flipped ones to their new
@@ -1072,8 +1072,11 @@ class ShardRouter:
         if self.metrics is not None:
             # One logical batch, whatever the fan-out: account it on the
             # front so fbox_batches_total matches the unsharded pipeline.
-            self.metrics.record_batch(
-                items=len(items), groups=sweep_groups, shared_items=shared_items
+            self.metrics.count(
+                batches=1,
+                batch_items=len(items),
+                batch_groups=sweep_groups,
+                batch_shared_items=shared_items,
             )
         return encode_batch(
             results, sweep_groups=sweep_groups, shared_items=shared_items
@@ -1164,19 +1167,14 @@ class ShardRouter:
         return entries
 
     def merged_observability(self) -> dict:
-        """Worker-side stats merged for the front's ``/metrics`` exposition.
+        """Worker-side truth for the front's ``/metrics`` exposition.
 
-        Covers the families whose truth lives in the workers when sharding
-        is on: cache events, cube/index-family builds, index accesses,
-        abandoned/degraded counters, per-dataset breaker states, and fired
-        fault rules.  Request counters/histograms stay front-side (the
-        front tracks every request it answers, sharded or not).
+        Each live worker's flat counter dict (merged by
+        :func:`~repro.service.observability.merge_counters`), its fired
+        fault rules, and per-dataset breaker states — datasets of a dead
+        worker show its shard breaker, never closed.
         """
         statuses = self._statuses()
-        cache_extra: list[dict] = []
-        build_extra: list[dict] = []
-        counter_extra: list[dict] = []
-        fault_extra: list[dict] = []
         breaker_states: dict[str, dict] = {}
         for name in self.registry.names():
             shard = self._slot(name)
@@ -1191,21 +1189,9 @@ class ShardRouter:
                 remote = (status.get("breakers") or {}).get(name)
                 if remote is not None:
                     breaker_states[name] = remote
-        for status in statuses.values():
-            if status is None:
-                continue
-            if status.get("cache"):
-                cache_extra.append(status["cache"])
-            if status.get("builds"):
-                build_extra.append(status["builds"])
-            if status.get("counters"):
-                counter_extra.append(status["counters"])
-            if status.get("faults"):
-                fault_extra.extend(status["faults"])
+        live = [status for status in statuses.values() if status is not None]
         return {
-            "cache": cache_extra,
-            "builds": build_extra,
-            "counters": counter_extra,
-            "faults": fault_extra,
+            "counters": [status["counters"] for status in live],
+            "faults": [rule for status in live for rule in status["faults"]],
             "breakers": breaker_states,
         }

@@ -6,7 +6,7 @@ connection are answered strictly in order).  The loop itself only ever
 parses, routes, and serves cached fast-path answers — every CPU-bound
 F-Box call goes through :meth:`~repro.service.app.FBoxApp.handle_async`,
 which admits via the controller's async path and executes on the app's
-bounded thread pool under an ``asyncio.wait_for`` deadline.  Thread count
+bounded thread pool under an ``asyncio.wait`` deadline.  Thread count
 is thus a capacity knob (``--executor-workers``), not one-per-connection.
 
 :class:`FBoxHTTPServer` offers the ``socketserver``-shaped surface the rest
@@ -140,7 +140,7 @@ class FBoxHTTPServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         app = self.app
-        app.context.metrics.record_connection()
+        app.context.metrics.count(connections=1)
         sock = writer.get_extra_info("socket")
         if sock is not None:
             # Disable Nagle so small responses never sit behind the peer's

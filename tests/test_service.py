@@ -578,7 +578,7 @@ class TestAbandonedWorkers:
 
         with pytest.raises(ValueError, match="boom"):
             asyncio.run(app._execute_async(failure))
-        assert app.context.metrics.abandoned_requests == 0
+        assert app.context.metrics.counters().get("abandoned_requests", 0) == 0
 
     def test_abandoned_worker_failure_is_counted_and_logged(self, app, caplog):
         app.request_timeout = 0.05
@@ -592,7 +592,7 @@ class TestAbandonedWorkers:
         with caplog.at_level(logging.ERROR, logger="repro.service"):
             with pytest.raises(RequestTimeout):
                 asyncio.run(app._execute_async(slow_failure))
-            assert app.context.metrics.abandoned_requests == 1
+            assert app.context.metrics.counters().get("abandoned_requests", 0) == 1
             release.set()
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:

@@ -26,8 +26,14 @@ from repro.data.schema import MarketplaceDataset, SearchDataset
 from repro.marketplace.crawl import emit_observations as emit_marketplace
 from repro.searchengine.study import emit_observations as emit_search
 from repro.service.faults import FAULTS_ENV_VAR
-from repro.service.handlers import ServiceContext, handle_quantify
-from repro.service.ingest import decode_observations, handle_observations
+from repro.service.handlers import ServiceContext, handle_quantify, service_schema
+from repro.service.ingest import (
+    MARKETPLACE_ITEM_FIELDS,
+    SEARCH_ITEM_FIELDS,
+    TRENDS_FIELDS,
+    decode_observations,
+    handle_observations,
+)
 from repro.service.registry import DatasetRegistry, DatasetSpec
 from repro.service.server import make_server
 from repro.service.sharding import shard_for
@@ -179,6 +185,53 @@ class TestIngestEndpoint:
         assert body["error"]["code"] == "unprocessable"
         assert "unknown worker" in body["error"]["message"]
 
+    def test_non_numeric_score_is_400(self, service, small_marketplace_dataset):
+        ranking = sorted(small_marketplace_dataset.workers)[:2]
+        for score in ("abc", None, [1], "0.5", True):
+            item = {
+                "query": "Moving",
+                "location": "Boston, MA",
+                "ranking": ranking,
+                "scores": {ranking[0]: score, ranking[1]: 0.5},
+            }
+            status, body = service.post(
+                "/v1/observations", {"dataset": "taskrabbit", "observations": [item]}
+            )
+            assert status == 400, (score, body)
+            assert body["error"]["code"] == "bad_request"
+            assert "scores" in body["error"]["message"]
+
+    def test_non_finite_score_is_422(self, service, small_marketplace_dataset):
+        ranking = json.dumps(sorted(small_marketplace_dataset.workers)[:1])
+        worker = json.dumps(sorted(small_marketplace_dataset.workers)[0])
+        for literal in ("NaN", "Infinity"):
+            raw = (
+                '{"dataset": "taskrabbit", "observations": [{"query": "Moving", '
+                f'"location": "Boston, MA", "ranking": {ranking}, '
+                f'"scores": {{{worker}: {literal}}}}}]}}'
+            ).encode("utf-8")
+            status, body = service.post("/v1/observations", None, raw=raw)
+            assert status == 422, (literal, body)
+            assert body["error"]["code"] == "unprocessable"
+
+    def test_search_result_lists_must_be_string_arrays(self, service):
+        for results in ({}, {"u": "x"}, {"u": [1]}, ["x"]):
+            status, body = service.post(
+                "/v1/observations",
+                {
+                    "dataset": "google",
+                    "observations": [
+                        {
+                            "query": "yard work",
+                            "location": "Boston, MA",
+                            "results_by_user": results,
+                        }
+                    ],
+                },
+            )
+            assert status == 400, (results, body)
+            assert body["error"]["code"] == "bad_request"
+
     def test_duplicate_ranking_entry_is_422(self, service, small_marketplace_dataset):
         worker = next(iter(small_marketplace_dataset.workers))
         status, body = service.post(
@@ -298,6 +351,19 @@ class TestTrendsAndAlerts:
             )
         )
         assert status == 422, body
+
+    def test_trends_with_unknown_measure_is_422(self, service):
+        status, body = service.get_json(
+            _trends_path(
+                "taskrabbit",
+                measure="nope",
+                group="gender=Female",
+                query="Moving",
+                location="Boston, MA",
+            )
+        )
+        assert status == 422, body
+        assert body["error"]["code"] == "unprocessable"
 
     def test_ingest_counters_render_on_every_backend(self, service):
         _, text = service.get("/v1/metrics")
@@ -775,3 +841,30 @@ class TestIngestWorkerExit:
                 server.shutdown()
                 thread.join(timeout=5)
                 server.server_close()
+
+
+# ----------------------------------------------------------------------
+# The published contract
+# ----------------------------------------------------------------------
+
+
+def test_schema_types_observation_items_and_trends_params():
+    endpoints = {
+        (endpoint["method"], endpoint["legacy_path"]): endpoint
+        for endpoint in service_schema()["endpoints"]
+    }
+    fields = {
+        field["name"]: field
+        for field in endpoints[("POST", "/observations")]["request_fields"]
+    }
+    items = fields["observations"]["items"]
+    assert items == {
+        "marketplace": [field.describe() for field in MARKETPLACE_ITEM_FIELDS],
+        "search": [field.describe() for field in SEARCH_ITEM_FIELDS],
+    }
+    marketplace = {field["name"]: field for field in items["marketplace"]}
+    assert marketplace["ranking"]["type"] == "array"
+    assert marketplace["scores"]["type"] == "object"
+    assert endpoints[("GET", "/trends")]["request_fields"] == [
+        field.describe() for field in TRENDS_FIELDS
+    ]
