@@ -23,11 +23,10 @@
 #      the loop must see zero failures (only transparent retries), the
 #      post-resize answers must match the pre-resize ones, and the replayed
 #      batch must still answer from the migrated idempotency ledger;
-#   7. scenarios + loadgen: boot sharded with an admin token, register the
-#      `null_no_bias` scenario at runtime through POST /v1/datasets, list
-#      it via GET /v1/scenarios, then replay the seeded traffic mix with
-#      `repro loadgen --quick` — the run must finish with zero hard
-#      failures and non-zero throughput.
+#   7. scenarios: boot sharded with an admin token, list the preset
+#      catalog via GET /v1/scenarios, check that an unauthorized
+#      POST /v1/datasets is a 403, then register the `null_no_bias`
+#      scenario at runtime and check it is listed but not yet loaded.
 #
 # Unversioned paths are retired; pass 1 asserts the 410 pointer.
 #
@@ -460,7 +459,7 @@ echo "smoke: resize state + metrics ok"
 stop_server
 
 # ----------------------------------------------------------------------
-# Pass 7: runtime scenario registration + the seeded loadgen mix
+# Pass 7: the scenario catalog + runtime scenario registration
 # ----------------------------------------------------------------------
 
 boot_server --shards 2 --admin-token smoke-token
@@ -491,20 +490,6 @@ with FBoxClient(sys.argv[1], retry=RetryPolicy(max_attempts=1, seed=0)) as clien
     assert listing["nb"]["loaded"] is False, listing["nb"]  # lazy until queried
 EOF
 echo "smoke: runtime dataset registration ok"
-
-# Replay the seeded traffic mix against the registered dataset.  The CLI
-# exits nonzero on any hard failure, so the && is the error-budget gate.
-LOADGEN_OUT="$(python3 -m repro loadgen "$BASE" --dataset nb \
-    --scenario null_no_bias --quick --seed 3 2>&1)" \
-    || fail "repro loadgen reported hard failures: $LOADGEN_OUT"
-case "$LOADGEN_OUT" in
-    *'hard=0'*) ;;
-    *) fail "loadgen report lacks a zero hard-failure count: $LOADGEN_OUT" ;;
-esac
-THROUGHPUT="$(printf '%s\n' "$LOADGEN_OUT" | grep -o 'throughput=[0-9.]*' | cut -d= -f2)"
-python3 -c "import sys; sys.exit(0 if float('${THROUGHPUT:-0}') > 0 else 1)" \
-    || fail "loadgen measured no throughput: $LOADGEN_OUT"
-echo "smoke: loadgen mix ok (zero hard failures, ${THROUGHPUT} req/s)"
 stop_server
 
 echo "smoke: PASS"

@@ -12,7 +12,6 @@ Commands
 ``simulate``   stream live observation batches from a simulator (JSONL)
 ``ingest``     POST observation batches to a running service's /v1/observations
 ``whatif``     hypothetically re-rank one cell with a fairness intervention
-``loadgen``    replay a seeded traffic mix against a running service
 
 ``quantify`` and ``compare`` accept ``--json`` to emit the same documents
 the service returns (shared encoder: :mod:`repro.service.encoding`).
@@ -280,59 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dataset name stamped on each batch (defaults to the site name)",
     )
     _add_scenario_arguments(simulate)
-
-    loadgen = subparsers.add_parser(
-        "loadgen",
-        help="replay a seeded traffic mix against a running service",
-    )
-    loadgen.add_argument("url", help="service base URL, e.g. http://127.0.0.1:8080")
-    loadgen.add_argument(
-        "--dataset", default="taskrabbit",
-        help="registered dataset name the operations target",
-    )
-    loadgen.add_argument(
-        "--scenario", default="paper_taskrabbit",
-        help="scenario preset the payload corpus is drawn from (must match "
-        "what the target dataset serves)",
-    )
-    loadgen.add_argument(
-        "--override", action="append", default=[], metavar="KEY=VALUE",
-        help="scenario field override (repeatable)",
-    )
-    loadgen.add_argument(
-        "--mode", choices=["closed", "open"], default="closed",
-        help="closed = N workers in lockstep request loops; open = seeded "
-        "Poisson arrivals at --rate (latency measured from the scheduled "
-        "arrival, so queueing delay is not hidden)",
-    )
-    loadgen.add_argument("--workers", type=int, default=4)
-    loadgen.add_argument("--requests", type=int, default=200)
-    loadgen.add_argument(
-        "--rate", type=float, default=50.0,
-        help="open-loop target arrival rate (requests/second)",
-    )
-    loadgen.add_argument(
-        "--warmup", type=int, default=0,
-        help="leading requests excluded from the latency report",
-    )
-    loadgen.add_argument("--seed", type=int, default=0)
-    loadgen.add_argument(
-        "--mix", default=None,
-        help='operation mix as "op=weight,..." over '
-        "quantify|compare|batch|whatif|observations "
-        "(default 45/20/15/10/10)",
-    )
-    loadgen.add_argument(
-        "--timeout", type=float, default=30.0,
-        help="per-request client timeout in seconds",
-    )
-    loadgen.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke settings: 40 requests, 2 workers, 8 warmup",
-    )
-    loadgen.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
 
     ingest = subparsers.add_parser(
         "ingest",
@@ -813,57 +759,6 @@ def _command_simulate(args) -> int:
     return 0
 
 
-def _command_loadgen(args) -> int:
-    """Replay a seeded traffic mix against a running service, print a report.
-
-    Exit code 1 when any *hard* failure occurred (non-backpressure client
-    error, transport failure, or shed requests that exhausted retries) —
-    429/503 answers that eventually succeeded are backpressure working as
-    designed and do not fail the run.  This is the contract the smoke
-    harness and CI gate rely on.
-    """
-    from .scenarios import format_report, run_loadgen
-
-    config = _scenario_config(args)
-    requests = args.requests
-    workers = args.workers
-    warmup = args.warmup
-    if args.quick:
-        requests, workers, warmup = 40, 2, 8
-    mix = None
-    if args.mix:
-        mix = {}
-        for pair in args.mix.split(","):
-            op, separator, weight = pair.partition("=")
-            if not separator:
-                raise ReproError(f"mix entry {pair!r} is not op=weight")
-            try:
-                mix[op.strip()] = float(weight)
-            except ValueError:
-                raise ReproError(f"mix weight {weight!r} is not a number") from None
-    report = run_loadgen(
-        args.url,
-        args.dataset,
-        config,
-        mode=args.mode,
-        requests=requests,
-        workers=workers,
-        rate=args.rate,
-        warmup=warmup,
-        seed=args.seed,
-        mix=mix,
-        timeout=args.timeout,
-    )
-    if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print(format_report(report))
-    hard = report["errors"]["hard"]
-    if hard:
-        print(f"error: {hard} hard failures", file=sys.stderr)
-    return 1 if hard else 0
-
-
 def _command_ingest(args) -> int:
     """POST JSONL ingest batches to a live service, one request per line."""
     from .client import FBoxClient
@@ -926,7 +821,6 @@ _COMMANDS = {
     "serve": _command_serve,
     "simulate": _command_simulate,
     "ingest": _command_ingest,
-    "loadgen": _command_loadgen,
 }
 
 

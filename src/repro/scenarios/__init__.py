@@ -1,11 +1,9 @@
-"""Declarative scenarios: named synthetic worlds + the load harness.
+"""Declarative scenarios: named synthetic worlds.
 
 One frozen :class:`ScenarioConfig` names a world (population, catalogs,
 demographic mix, bias intensities, seed); :data:`PRESETS` registers the
 five named regimes; :func:`build_scenario` is the single generation funnel
-shared by the CLI, the in-process registry, and ``POST /v1/datasets``; and
-:func:`run_loadgen` replays realistic traffic mixes against a running
-server with seeded arrivals and a p50/p95/p99 + error-budget report.
+shared by the CLI, the in-process registry, and ``POST /v1/datasets``.
 """
 
 from __future__ import annotations
@@ -18,16 +16,6 @@ from .build import (
     scenario_spec,
 )
 from .config import SITES, ScenarioConfig
-from .loadgen import (
-    DEFAULT_MIX,
-    MODES,
-    arrival_schedule,
-    format_report,
-    latency_keys,
-    plan_operations,
-    report_keys,
-    run_loadgen,
-)
 from .presets import PRESETS, describe_scenarios, get_scenario, scenario_names
 from .scaled import PAGE_SLOTS, ScaledMarketplaceSite
 
@@ -45,12 +33,4 @@ __all__ = [
     "decode_overrides",
     "ScaledMarketplaceSite",
     "PAGE_SLOTS",
-    "DEFAULT_MIX",
-    "MODES",
-    "plan_operations",
-    "arrival_schedule",
-    "run_loadgen",
-    "format_report",
-    "report_keys",
-    "latency_keys",
 ]

@@ -432,8 +432,12 @@ class FBoxApp:
             params = dict(parse_qsl(query, keep_blank_values=True)) if query else None
 
             # Health, readiness, and listings are never admission-controlled:
-            # a saturated pool must still answer its probes.
+            # a saturated pool must still answer its probes.  Trends may
+            # load a dataset or wait on a worker, so it leaves the loop for
+            # the pool (no deadline: a routed call's worker owns it).
             async def run_get():
+                if path == "/trends":
+                    return await self._on_pool(lambda: handler(self.context, params))
                 return handler(self.context, params)
 
             return path, run_get
@@ -859,7 +863,8 @@ class FBoxApp:
             # Under sharding the workers hold the truth for the summed
             # counters, dataset breakers and fired faults; fold their
             # status frames in so one scrape covers the whole service.
-            workers = context.router.merged_observability()
+            # Polling them blocks on worker sockets, so it runs on the pool.
+            workers = await self._on_pool(context.router.merged_observability)
             counters = merge_counters(counters, workers["counters"])
             breaker_states = workers["breakers"]
             if fault_stats is not None or workers["faults"]:

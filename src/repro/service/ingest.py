@@ -574,8 +574,19 @@ def trends_document(context, payload) -> dict:
     spec = context.registry.spec(name)
     values["measure"] = (values["measure"] or spec.default_measure).lower()
     check_fields(TRENDS_FIELDS, values)
-    group = str(values["group"])
     query, location = values["query"], values["location"]
+    # A coordinate outside the dataset's domain is a 422, not a cell with
+    # no history yet.  The check reads one snapshot of the dataset (an
+    # ingest may upsert it concurrently), never a cube.
+    observations = context.registry.dataset(name).observations()
+    for field, value, domain in (
+        ("group", values["group"], group_lattice(context.registry.schema)),
+        ("query", query, {o.query for o in observations}),
+        ("location", location, {o.location for o in observations}),
+    ):
+        if value not in domain:
+            raise Unprocessable(f"{field} {params[field]!r} is not in dataset {name!r}")
+    group = str(values["group"])
     points = context.ingest.trends(name, values["measure"], group, query, location)
     return {
         "kind": "trends",

@@ -365,6 +365,27 @@ class TestTrendsAndAlerts:
         assert status == 422, body
         assert body["error"]["code"] == "unprocessable"
 
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            {"group": "gender=Nope"},
+            {"query": "Nope"},
+            {"location": "Nowhere, ZZ"},
+        ],
+        ids=["group", "query", "location"],
+    )
+    def test_trends_outside_the_domain_is_422(self, service, cell):
+        inside = {"group": "gender=Female", "query": "Moving", "location": "Boston, MA"}
+        status, body = service.get_json(_trends_path("taskrabbit", **inside))
+        assert status == 200, body
+        assert body["points"] == []  # in the domain, no history yet
+        status, body = service.get_json(
+            _trends_path("taskrabbit", **{**inside, **cell})
+        )
+        assert status == 422, body
+        assert body["error"]["code"] == "unprocessable"
+        assert repr(next(iter(cell.values()))) in body["error"]["message"]
+
     def test_ingest_counters_render_on_every_backend(self, service):
         _, text = service.get("/v1/metrics")
         for family in (

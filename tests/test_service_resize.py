@@ -114,7 +114,7 @@ def _norm(document, volatile=("cached",)) -> str:
     return json.dumps(document, sort_keys=True)
 
 
-_TREND_CELL = dict(group="gender=female", query="yard work", location="Boston, MA")
+_TREND_CELL = dict(group="gender=Female", query="yard work jobs", location="Boston, MA")
 
 
 def _cold_answers(

@@ -17,6 +17,7 @@ import socket
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from collections import Counter
 
@@ -263,6 +264,52 @@ class TestShardCrash:
 
         assert issubclass(ShardUnavailable, CircuitOpen)
         assert ShardUnavailable.kind == "shard_unavailable"
+
+
+class TestLoopStaysFree:
+    def test_healthz_answers_while_a_routed_trends_call_stalls(
+        self,
+        run_server,
+        monkeypatch,
+        small_marketplace_dataset,
+        small_search_dataset,
+    ):
+        # The worker sleeps 5 s inside /trends; the front must wait for it
+        # on the pool, not on the event loop.  Only the order of events is
+        # asserted: healthz returns while the trends call is still open.
+        monkeypatch.setenv(
+            FAULTS_ENV_VAR,
+            json.dumps(
+                {"rules": [{"site": "latency", "match": "/trends", "latency": 5.0}]}
+            ),
+        )
+        registry = _registry(small_marketplace_dataset, small_search_dataset)
+        server = run_server(registry, shards=2, request_timeout=60.0)
+        observation = small_marketplace_dataset.observations()[0]
+        path = "/v1/trends?" + urllib.parse.urlencode(
+            {
+                "dataset": "taskrabbit",
+                "group": "gender=Female",
+                "query": observation.query,
+                "location": observation.location,
+            }
+        )
+        answered = []
+        trends = threading.Thread(
+            target=lambda: answered.append(_get(server.url, path)), daemon=True
+        )
+        trends.start()
+        metrics = server.context.metrics
+        while not metrics.snapshot()["in_flight"].get("/trends"):
+            assert not answered, answered
+            time.sleep(0.01)
+
+        status, health = _get(server.url, "/v1/healthz")
+        assert status == 200, health
+        assert not answered
+        trends.join(timeout=60)
+        assert not trends.is_alive()
+        assert answered[0][0] == 200, answered
 
 
 # ----------------------------------------------------------------------
