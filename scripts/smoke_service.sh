@@ -15,8 +15,10 @@
 #   5. sharded + shared memory: boot with `--shards 2`, answer queries on
 #      both workers and from the published shared-memory segments, run a
 #      cross-shard /batch, check worker build counts merged into /metrics,
-#      ingest a batch through the write path, and — after shutdown —
-#      assert no fbx* segment survives in /dev/shm (the leak check);
+#      walk the live /v1/schema (no published endpoint may answer 404, and
+#      the unpublished POST /v1/trends must), ingest a batch through the
+#      write path, and — after shutdown — assert no fbx* segment survives
+#      in /dev/shm (the leak check);
 #   6. live resize: boot with `--shards 2 --admin-token`, ingest, then
 #      resize the pool to 4 and back to 2 through POST /v1/admin/shards
 #      while a background FBoxClient query loop hammers both datasets —
@@ -335,6 +337,39 @@ case "$BODY" in
     *'"shard_unavailable"'*) ;;
     *) fail "schema lacks the shard_unavailable error code: $BODY" ;;
 esac
+
+# Routing agrees with the published table: every endpoint in /v1/schema
+# answers something other than 404, and POST /v1/trends (not published)
+# is a 404.
+OUT="$(python3 - "$BASE" 2>&1 <<'EOF'
+import json, sys, urllib.error, urllib.request
+base = sys.argv[1]
+
+
+def status(method, path, body=None):
+    data = None if body is None else json.dumps(body).encode()
+    headers = {"Content-Type": "application/json"} if data else {}
+    request = urllib.request.Request(base + path, data=data, method=method, headers=headers)
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status
+    except urllib.error.HTTPError as error:
+        return error.code
+
+
+with urllib.request.urlopen(base + "/v1/schema", timeout=30) as response:
+    endpoints = json.load(response)["endpoints"]
+for endpoint in endpoints:
+    body = {} if endpoint["method"] == "POST" else None
+    if status(endpoint["method"], endpoint["path"], body) == 404:
+        sys.exit(f"{endpoint['method']} {endpoint['path']} answered 404")
+got = status("POST", "/v1/trends", {})
+if got != 404:
+    sys.exit(f"POST /v1/trends answered {got} (wanted 404)")
+print(len(endpoints))
+EOF
+)" || fail "schema walk: $OUT"
+echo "smoke: schema walk ok ($OUT published endpoints route; POST /v1/trends is 404)"
 
 # The write path: ingest must publish a new generation, and the
 # post-ingest read must reflect it.

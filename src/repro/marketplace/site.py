@@ -21,7 +21,7 @@ from ..core.rankings import RankedList
 from ..data.schema import WorkerProfile
 from ..exceptions import DataError
 from ..stats.rng import derive
-from .catalog import CITIES, category_of, jobs_available_in
+from .catalog import CITIES, category_of
 from .scoring import ScoringModel
 from .workers import generate_population
 
@@ -139,7 +139,3 @@ class TaskRabbitSite:
                 worker.worker_id: (raw - low) / span for raw, worker in top
             }
         return RankedList(items, scores)
-
-    def offered_jobs(self, city: str) -> list[str]:
-        """Job types offered in ``city`` (15 niche pairs are unavailable)."""
-        return jobs_available_in(city)

@@ -1,9 +1,12 @@
 """The application layer: a transport-agnostic ``Request -> Response`` surface.
 
 :class:`FBoxApp` owns everything about answering a fairness query that is
-*not* socket handling: the routing table, body-framing policy, request
-validation, admission control, the per-request deadline, the result cache
-and last-known-good store, degraded answers, and metrics.  Transports
+*not* socket handling: routing, body-framing policy, request validation,
+admission control, the per-request deadline, the result cache and
+last-known-good store, degraded answers, and metrics.  Every endpoint is
+one row of :data:`~repro.service.handlers.ENDPOINTS`; routing, the
+legacy-path 410s and the row's placement (how and where its handler runs)
+all read that table.  Transports
 (:mod:`repro.service.transports`) are thin adapters that parse HTTP off a
 socket, build a :class:`Request`, and write the returned :class:`Response`
 back — nothing in this module imports :mod:`http.server` or asyncio's
@@ -16,11 +19,11 @@ cube/index builds, TA sweeps) runs on this pool via
 :meth:`FBoxApp.handle_async`, so the event loop never blocks and thread
 count is a capacity knob.  Callers without an event loop — shard worker
 connection threads (:mod:`repro.service.shard_worker`) — drive the same
-coroutine through :meth:`FBoxApp.run_post` on a private loop per thread,
-so both sides of the shard hop share one POST pipeline and one deadline
-mechanism.
+coroutines through :meth:`FBoxApp.run_call` and :meth:`FBoxApp.run_post`
+on a private loop per thread, so both sides of the shard hop share one
+query pipeline and one deadline mechanism.
 
-Two flows through the POST pipeline:
+Two flows through the query pipeline:
 
 * **fast path** — when no fault injector is attached, a request whose
   answer is already cached is parsed, peeked, and answered inline without
@@ -40,44 +43,33 @@ import logging
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter
-from urllib.parse import parse_qsl
 
 from ..core.colstore import SegmentMiss
 from .cache import LRUCache
 from .errors import (
     BadRequest,
     CircuitOpen,
-    DatasetExists,
     Forbidden,
     Gone,
     NotFound,
     RequestTimeout,
     ServiceError,
     ShuttingDown,
-    Unprocessable,
 )
 from .faults import FaultInjector, faults_from_env
-from .fields import decode_fields, require_object
+from .fields import decode_query
 from .handlers import (
     API_PREFIX,
-    DATASET_FIELDS,
-    REQUEST_PARSERS,
+    ENDPOINTS,
+    ROUTES,
+    Endpoint,
     ServiceContext,
-    handle_batch,
-    handle_compare,
-    handle_datasets,
-    handle_explain,
     handle_front_read,
-    handle_healthz,
-    handle_quantify,
-    handle_readyz,
-    handle_scenarios,
-    handle_schema,
-    handle_whatif,
+    parse_request,
     resolve_degraded,
 )
-from .ingest import IngestManager, handle_observations, handle_trends, trends_document
-from .observability import ServiceMetrics, merge_counters, render_metrics
+from .ingest import IngestManager
+from .observability import ServiceMetrics
 from .registry import DatasetRegistry, default_registry
 from .resilience import AdmissionController
 
@@ -92,49 +84,15 @@ __all__ = [
 
 _logger = logging.getLogger("repro.service")
 
-def _admin_shards_unrouted(context, payload):
-    # Registered so the transports read the request body and routing
-    # resolves; the real work happens in FBoxApp's dispatch, which
-    # intercepts the path before the handler table is consulted.
-    raise Unprocessable(
-        "live shard-pool resize requires --shards; this instance executes "
-        "queries in-process"
-    )
-
-
-def _register_dataset_unrouted(context, payload):
-    # Same placeholder pattern as /admin/shards: POST /datasets is always
-    # intercepted by FBoxApp's dispatch ahead of admission control.
-    raise Unprocessable("runtime dataset registration is handled by the front")
-
-
 POST_ROUTES = {
-    "/quantify": handle_quantify,
-    "/compare": handle_compare,
-    "/explain": handle_explain,
-    "/whatif": handle_whatif,
-    "/batch": handle_batch,
-    # The live write path.  "/trends" is registered here too so the shard
-    # workers' frame dispatch (which speaks POST) can answer routed trend
-    # lookups; clients use the GET route.
-    "/observations": handle_observations,
-    "/trends": trends_document,
-    # Operations surface: grow/shrink the worker pool while serving.
-    "/admin/shards": _admin_shards_unrouted,
-    # Scenario-first registration: a dataset spec born from a named
-    # scenario, admin-gated and dispatched ahead of admission control.
-    "/datasets": _register_dataset_unrouted,
+    endpoint.path: endpoint.handler
+    for endpoint in ENDPOINTS
+    if endpoint.method == "POST"
 }
-GET_ROUTES = {
-    "/datasets": handle_datasets,
-    "/scenarios": handle_scenarios,
-    "/healthz": handle_healthz,
-    "/readyz": handle_readyz,
-    "/schema": handle_schema,
-    "/trends": handle_trends,
-}
+"""Path → handler of every POST row; each app calls its own copy."""
 
-_METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+_PATHS = frozenset(endpoint.path for endpoint in ENDPOINTS)
+_PROMETHEUS_TEXT = "text/plain; version=0.0.4; charset=utf-8"
 
 
 # ----------------------------------------------------------------------
@@ -218,19 +176,6 @@ def _error_body(error: ServiceError) -> bytes:
     return _json_bytes({"error": payload})
 
 
-def _internal_error_body(error: BaseException) -> bytes:
-    return _json_bytes(
-        {
-            "error": {
-                "code": "internal",
-                "kind": "internal",
-                "message": str(error),
-                "retryable": False,
-            }
-        }
-    )
-
-
 # ----------------------------------------------------------------------
 # Deadline errors
 # ----------------------------------------------------------------------
@@ -276,11 +221,16 @@ class FBoxApp:
         self.request_timeout = request_timeout
         self.executor_workers = executor_workers
         self.admin_token = admin_token
-        self._register_lock = threading.Lock()
         self.max_body_bytes = 1 << 20  # 1 MiB is plenty for query parameters
         self.max_drain_bytes = 8 << 20  # past this, closing beats draining
         self.post_routes = dict(POST_ROUTES)
-        self.get_routes = dict(GET_ROUTES)
+        self._placements = {
+            "probe": self._inline,
+            "worker": self._worker_truth,
+            "pool": self._pooled,
+            "admin": self._admin,
+            "query": self._query,
+        }
         self._executor: concurrent.futures.ThreadPoolExecutor | None = None
         self._executor_lock = threading.Lock()
         self._draining = False
@@ -383,18 +333,14 @@ class FBoxApp:
             return path[len(API_PREFIX):], False
         return path, True
 
-    def is_post_route(self, path: str) -> bool:
-        """Whether a raw (possibly versioned) path maps to a POST endpoint
-        — the transport's body-read gate."""
-        return self.canonical_path(path)[0] in self.post_routes
-
     def handle_async(self, request: Request):
         """Answer one request; returns an awaitable.
 
-        GET endpoints and the cached fast path run inline (they only touch
-        synchronized in-memory state); POST query work is admitted via the
-        controller's async path and executed on the bounded thread pool
-        under an ``asyncio.wait`` deadline.
+        The request's row says where it runs (see
+        :class:`~repro.service.handlers.Endpoint`): probes and the cached
+        fast path inline (they only touch synchronized in-memory state),
+        query work admitted via the controller's async path and executed on
+        the bounded thread pool under an ``asyncio.wait`` deadline.
         """
         return self._handle_async(request)
 
@@ -417,38 +363,19 @@ class FBoxApp:
         """
         if self._draining:
             return self._shutdown_response()
+        # A GET carries its parameters in the query string; a POST carries
+        # its request in the body, so a query string there names no route.
+        path = request.path
         if request.method == "GET":
-            # Split the query string: routing and metrics labels use the
-            # bare path; the decoded parameters become the handler payload
-            # (how ``GET /trends?dataset=…`` addresses one cube cell).
-            path, _, query = request.path.partition("?")
-            if path == "/metrics":
-                return "/metrics", self._metrics_response
-            handler = self.get_routes.get(path)
-            if handler is None:
-                return self._error_response(
-                    NotFound(f"no such endpoint: GET {path}")
-                )
-            params = dict(parse_qsl(query, keep_blank_values=True)) if query else None
-
-            # Health, readiness, and listings are never admission-controlled:
-            # a saturated pool must still answer its probes.  Trends may
-            # load a dataset or wait on a worker, so it leaves the loop for
-            # the pool (no deadline: a routed call's worker owns it).
-            async def run_get():
-                if path == "/trends":
-                    return await self._on_pool(lambda: handler(self.context, params))
-                return handler(self.context, params)
-
-            return path, run_get
-        if request.method == "POST":
-            if request.path not in self.post_routes:
-                return self._error_response(
-                    NotFound(f"no such endpoint: POST {request.path}")
-                )
-            return request.path, lambda: self._run_post(request)
-        return self._error_response(
-            NotFound(f"no such endpoint: {request.method} {request.path}")
+            path = path.partition("?")[0]
+        endpoint = ROUTES.get((request.method, path))
+        if endpoint is None:
+            return self._error_response(
+                NotFound(f"no such endpoint: {request.method} {path}")
+            )
+        place = self._placements[endpoint.placement]
+        return endpoint, lambda: place(
+            endpoint, request, self._payload(endpoint, request)
         )
 
     def _legacy_gone(self, request: Request) -> Response | None:
@@ -459,12 +386,7 @@ class FBoxApp:
         probes don't learn retired-route names that never existed.
         """
         bare = request.path.partition("?")[0]
-        known = (
-            bare in self.post_routes
-            or bare in self.get_routes
-            or bare == "/metrics"
-        )
-        if not known:
+        if bare not in _PATHS:
             return None
         return self._error_response(
             Gone(
@@ -494,42 +416,44 @@ class FBoxApp:
     # The tracked section
     # ------------------------------------------------------------------
 
-    async def _tracked(self, endpoint: str, run) -> Response:
+    async def _tracked(self, endpoint: Endpoint, run) -> Response:
         """Run one request with metrics: in-flight, latency, status counts."""
         metrics = self.context.metrics
-        metrics.request_started(endpoint)
+        metrics.request_started(endpoint.path)
         started = perf_counter()
-        status = 500
         content_type = "application/json"
         retry_after: float | None = None
         try:
             status, document = await run()
-            body = (
-                document if isinstance(document, bytes) else _json_bytes(document)
-            )
-            if endpoint == "/metrics":
-                content_type = _METRICS_CONTENT_TYPE
-        except ServiceError as error:
+            if isinstance(document, bytes):  # only /metrics: Prometheus text
+                body, content_type = document, _PROMETHEUS_TEXT
+            else:
+                body = _json_bytes(document)
+        except Exception as error:
+            if not isinstance(error, ServiceError):
+                # Any other crash (an injected handler fault, a bug) is the
+                # generic 500 envelope with the message intact.
+                error = ServiceError(str(error))
             status = error.status
             retry_after = error.retry_after
             if isinstance(error, RequestTimeout):
                 metrics.count(timeouts=1)
             body = _error_body(error)
-        except Exception as error:  # pragma: no cover - defensive
-            status = 500
-            body = _internal_error_body(error)
         # Count the request before its bytes reach the socket: a client that
         # reads its response and immediately scrapes /metrics must find the
         # request already recorded.
-        metrics.request_finished(endpoint, status, perf_counter() - started)
+        metrics.request_finished(endpoint.path, status, perf_counter() - started)
         return Response(status, body, content_type, retry_after=retry_after)
 
     # ------------------------------------------------------------------
-    # The POST query pipeline
+    # Placements: how a row's handler runs
     # ------------------------------------------------------------------
 
-    def _parse_payload(self, request: Request):
-        """Raise the framing rejection (if any) and decode the JSON body."""
+    def _payload(self, endpoint: Endpoint, request: Request):
+        """A GET's query parameters decoded against its row's field table;
+        for a POST, the framing rejection (if any) or the decoded JSON body."""
+        if request.method == "GET":
+            return decode_query(endpoint.fields, request.path.partition("?")[2])
         if request.framing_error is not None:
             raise request.framing_error
         if not request.body:
@@ -538,6 +462,103 @@ class FBoxApp:
             return json.loads(request.body)
         except json.JSONDecodeError as error:
             raise BadRequest(f"request body is not valid JSON: {error}") from None
+
+    async def _inline(self, endpoint: Endpoint, request: Request, payload):
+        return endpoint.handler(self.context, payload)
+
+    async def _worker_truth(self, endpoint: Endpoint, request: Request, payload):
+        # Polling the workers blocks on their sockets: leave the loop for the
+        # default executor, not the query pool that routed queries may fill.
+        if self.context.router is None:
+            return endpoint.handler(self.context, payload)
+        return await asyncio.get_running_loop().run_in_executor(
+            None, endpoint.handler, self.context, payload
+        )
+
+    async def _pooled(self, endpoint: Endpoint, request: Request, payload):
+        # No deadline: a routed call's worker owns it.
+        return 200, await self._on_pool(
+            lambda: endpoint.handler(self.context, payload)
+        )
+
+    async def _admin(self, endpoint: Endpoint, request: Request, payload):
+        # A resize or a registration broadcast blocks on worker sockets.
+        self._require_admin(request)
+        handler = self.post_routes[endpoint.path]
+        return 200, await self._on_pool(lambda: handler(self.context, payload))
+
+    async def _query(self, endpoint: Endpoint, request: Request | None, payload):
+        """The query pipeline; raises :class:`ServiceError` on rejection.
+
+        The sharded front and every shard worker run this same coroutine:
+        the front routes (the worker owns the deadline, so the roundtrip
+        has none here), the worker executes in-process under the deadline.
+        """
+        context = self.context
+        path = endpoint.path
+        fast = self._fast_path(path, payload)
+        if fast is not None:
+            return 200, fast
+        if context.router is not None:
+            # Routed calls block on a worker socket, not the CPU: run them
+            # on the pool to keep the loop free, but with no deadline —
+            # the worker owns the deadline, and a second one here would
+            # count every slow request twice.
+            execute_async = lambda: self._on_pool(  # noqa: E731
+                lambda: self._execute_shard(path, payload)
+            )
+        else:
+            execute = self._execute_fn(endpoint, payload)
+            execute_async = lambda: self._execute_async(execute)  # noqa: E731
+        try:
+            if context.admission is None:
+                return 200, await execute_async()
+            await context.admission.acquire_async()
+            try:
+                return 200, await execute_async()
+            finally:
+                context.admission.release()
+        except (RequestTimeout, CircuitOpen) as error:
+            # Graceful degradation: requests that opted in with
+            # ``allow_stale`` get the last-known-good answer, loudly
+            # marked, instead of the error.
+            degraded = resolve_degraded(context, path, payload, reason=error.kind)
+            if degraded is None:
+                raise
+            return 200, degraded
+
+    def run_post(self, request: Request) -> tuple[int, dict]:
+        """One POST through its row's placement, on the calling thread."""
+        endpoint = ROUTES.get(("POST", request.path))
+        if endpoint is None:
+            raise NotFound(f"no such endpoint: POST {request.path}")
+        payload = self._payload(endpoint, request)
+        return self._on_thread(
+            self._placements[endpoint.placement](endpoint, request, payload)
+        )
+
+    def run_call(self, endpoint: Endpoint, payload) -> tuple[int, dict]:
+        """A shard worker's call frame: any routed row, ``GET /trends``
+        included, through the in-process query pipeline."""
+        return self._on_thread(self._query(endpoint, None, payload))
+
+    def _on_thread(self, coroutine):
+        """Run ``coroutine`` on the calling thread's private event loop,
+        created on first use (:meth:`_close_thread_loop` releases it)."""
+        loop = getattr(self._thread_loops, "loop", None)
+        if loop is None:
+            loop = self._thread_loops.loop = asyncio.new_event_loop()
+        return loop.run_until_complete(coroutine)
+
+    def _close_thread_loop(self) -> None:
+        loop = getattr(self._thread_loops, "loop", None)
+        if loop is not None:
+            self._thread_loops.loop = None
+            loop.close()
+
+    # ------------------------------------------------------------------
+    # The query pipeline's parts
+    # ------------------------------------------------------------------
 
     def _fast_path(self, path: str, payload) -> dict | None:
         """A cached answer served without admission or execution, or None.
@@ -551,22 +572,20 @@ class FBoxApp:
         context = self.context
         if context.faults is not None:
             return None
-        parser = REQUEST_PARSERS.get(path)
-        if parser is None:
-            return None
-        try:
-            parsed = parser(context, payload)
-        except ServiceError:
-            return None
-        hit = context.cache.peek(parsed.key)
+        parsed = parse_request(context, path, payload)
+        hit = context.cache.peek(parsed.key) if parsed is not None else None
         if hit is None:
             return None
         return {**hit, "cached": True}
 
-    def _execute_fn(self, path: str, payload):
-        """The CPU-bound part of one POST: faults, then the handler."""
+    def _execute_fn(self, endpoint: Endpoint, payload):
+        """The CPU-bound part of one query: faults, then the handler."""
         context = self.context
-        handler = self.post_routes[path]
+        path = endpoint.path
+        # POST handlers go through this app's copy of POST_ROUTES.
+        handler = (
+            self.post_routes[path] if endpoint.method == "POST" else endpoint.handler
+        )
 
         def execute():
             if context.faults is not None:
@@ -581,21 +600,12 @@ class FBoxApp:
 
         ``/quantify`` and ``/compare`` are answered on the front by
         *attaching* to the owning worker's published shared-memory segment
-        — the worker roundtrip (and its queue) is skipped entirely.  Anything the segment cannot answer — other
-        endpoints, nothing published yet, a racing re-publish, a payload
-        error — signals :class:`SegmentMiss` and falls back to the worker,
+        — the worker roundtrip (and its queue) is skipped entirely.
+        Anything the segment cannot answer — other endpoints, nothing
+        published yet, a racing re-publish, a payload error — signals
+        :class:`SegmentMiss` and falls back to the worker,
         whose response is byte-identical.  Chaos runs (an attached fault
         injector) always route so worker-side handler faults keep firing.
-        """
-        if self.context.faults is None:
-            try:
-                return handle_front_read(self.context, path, payload)
-            except SegmentMiss:
-                pass
-        return self._execute_routed(path, payload)
-
-    def _execute_routed(self, path: str, payload) -> dict:
-        """One POST answered by the shard pool instead of in-process.
 
         Handler/latency faults and the request deadline are the owning
         worker's job (firing them here too would double-count chaos and
@@ -603,6 +613,11 @@ class FBoxApp:
         into its own last-known-good store so degraded ``allow_stale``
         answers survive the owning worker dying.
         """
+        if self.context.faults is None:
+            try:
+                return handle_front_read(self.context, path, payload)
+            except SegmentMiss:
+                pass
         document = self.context.router.execute(path, payload, self.request_timeout)
         if path == "/observations" and isinstance(document, dict):
             # The owning worker bumped its private generation counter; sync
@@ -631,12 +646,8 @@ class FBoxApp:
     def _warm_stale(self, path: str, payload, document) -> None:
         if not isinstance(document, dict) or document.get("degraded"):
             return
-        parser = REQUEST_PARSERS.get(path)
-        if parser is None:
-            return
-        try:
-            parsed = parser(self.context, payload)
-        except ServiceError:
+        parsed = parse_request(self.context, path, payload)
+        if parsed is None:
             return
         stored = {key: value for key, value in document.items() if key != "cached"}
         self.context.stale.put(parsed.stale_key, (stored, parsed.generation))
@@ -668,137 +679,6 @@ class FBoxApp:
                 "admin endpoints require a valid X-Admin-Token (or "
                 "Authorization: Bearer) header"
             )
-
-    def _admin_shards(self, request: Request, payload) -> dict:
-        """``POST /admin/shards`` — live-resize the worker pool.
-
-        Front-only: dispatched before admission control (an overloaded pool
-        is exactly when an operator grows it) and before the router, so it
-        never competes with the query traffic it is reshaping.
-        """
-        self._require_admin(request)
-        router = self.context.router
-        if router is None:
-            raise Unprocessable(
-                "live shard-pool resize requires --shards; this instance "
-                "executes queries in-process"
-            )
-        return router.resize(require_object(payload).get("count"))
-
-    def _register_dataset(self, request: Request, payload) -> dict:
-        """``POST /datasets`` — register a scenario-backed dataset at runtime.
-
-        Admin-gated like the resize surface, and dispatched ahead of
-        admission control for the same reason: registration is operator
-        traffic, not query traffic.  The dataset stays lazy — the first
-        query against it triggers the build on whichever side owns it.
-        Name collisions are a hard 409 (:class:`DatasetExists`); generation
-        semantics match re-registering a spec (the tag starts at 1 and
-        every later ingest bumps it).
-        """
-        self._require_admin(request)
-        values = decode_fields(DATASET_FIELDS, payload)
-        name, scenario = values["name"], values["scenario"]
-        overrides = values["overrides"] or {}
-        # Lazy import: repro.scenarios imports service modules for its
-        # error types, so the dependency must point this way at call time.
-        from ..scenarios import scenario_spec
-
-        registry = self.context.registry
-        with self._register_lock:
-            if name in registry.names():
-                raise DatasetExists(
-                    f"dataset {name!r} is already registered; runtime "
-                    "registration never replaces a live dataset"
-                )
-            spec = scenario_spec(
-                name, scenario, overrides, description=values["description"]
-            )
-            registry.register(spec)
-        router = self.context.router
-        if router is not None:
-            # Broadcast after the front registers: a worker that is down
-            # right now inherits the spec anyway when its respawn re-reads
-            # the front registry.
-            router.register_dataset(spec)
-        return {
-            "dataset": name,
-            "scenario": scenario,
-            "overrides": overrides,
-            "site": spec.site,
-            "generation": registry.generation(name),
-            "shard": router.shard_of(name) if router is not None else 0,
-        }
-
-    def run_post(self, request: Request) -> tuple[int, dict]:
-        """Drive one POST through :meth:`_run_post` on the calling thread.
-
-        For callers that own no event loop (a shard worker's connection
-        threads): each thread runs the coroutine on a private loop created
-        on first use; :meth:`_close_thread_loop` releases it.
-        """
-        loop = getattr(self._thread_loops, "loop", None)
-        if loop is None:
-            loop = self._thread_loops.loop = asyncio.new_event_loop()
-        return loop.run_until_complete(self._run_post(request))
-
-    def _close_thread_loop(self) -> None:
-        loop = getattr(self._thread_loops, "loop", None)
-        if loop is not None:
-            self._thread_loops.loop = None
-            loop.close()
-
-    async def _run_post(self, request: Request) -> tuple[int, dict]:
-        """The POST pipeline body; raises :class:`ServiceError` on rejection.
-
-        The sharded front and every shard worker run this same coroutine:
-        the front routes (the worker owns the deadline, so the roundtrip
-        has none here), the worker executes in-process under the deadline.
-        """
-        context = self.context
-        path = request.path
-        payload = self._parse_payload(request)
-        if path == "/admin/shards":
-            # A resize blocks on worker sockets for seconds; keep the loop
-            # free by running it on the pool like any routed call.
-            return 200, await self._on_pool(
-                lambda: self._admin_shards(request, payload)
-            )
-        if path == "/datasets":
-            # Registration broadcasts over worker sockets; same pool hop.
-            return 200, await self._on_pool(
-                lambda: self._register_dataset(request, payload)
-            )
-        fast = self._fast_path(path, payload)
-        if fast is not None:
-            return 200, fast
-        if context.router is not None:
-            # Routed calls block on a worker socket, not the CPU: run them
-            # on the pool to keep the loop free, but with no deadline —
-            # the worker owns the deadline, and a second one here would
-            # count every slow request twice.
-            execute_async = lambda: self._on_pool(  # noqa: E731
-                lambda: self._execute_shard(path, payload)
-            )
-        else:
-            execute = self._execute_fn(path, payload)
-            execute_async = lambda: self._execute_async(execute)  # noqa: E731
-        try:
-            if context.admission is None:
-                return 200, await execute_async()
-            await context.admission.acquire_async()
-            try:
-                return 200, await execute_async()
-            finally:
-                context.admission.release()
-        except (RequestTimeout, CircuitOpen) as error:
-            # Graceful degradation: requests that opted in with
-            # ``allow_stale`` get the last-known-good answer, loudly
-            # marked, instead of the error.
-            degraded = resolve_degraded(context, path, payload, reason=error.kind)
-            if degraded is None:
-                raise
-            return 200, degraded
 
     def _on_pool(self, fn) -> asyncio.Future:
         """``fn`` on the bounded pool, as an awaitable with no deadline."""
@@ -847,37 +727,6 @@ class FBoxApp:
                 _log_abandoned_failure(error)
 
         future.add_done_callback(_report)
-
-    # ------------------------------------------------------------------
-    # /metrics
-    # ------------------------------------------------------------------
-
-    async def _metrics_response(self) -> tuple[int, bytes]:
-        context = self.context
-        counters = context.counters()
-        breaker_states = context.registry.breaker_states()
-        fault_stats = (
-            context.faults.snapshot() if context.faults is not None else None
-        )
-        if context.router is not None:
-            # Under sharding the workers hold the truth for the summed
-            # counters, dataset breakers and fired faults; fold their
-            # status frames in so one scrape covers the whole service.
-            # Polling them blocks on worker sockets, so it runs on the pool.
-            workers = await self._on_pool(context.router.merged_observability)
-            counters = merge_counters(counters, workers["counters"])
-            breaker_states = workers["breakers"]
-            if fault_stats is not None or workers["faults"]:
-                fault_stats = list(fault_stats or ()) + workers["faults"]
-        admission = context.admission
-        text = render_metrics(
-            context.metrics.snapshot(),
-            counters,
-            admission_stats=admission.snapshot() if admission is not None else None,
-            breaker_states=breaker_states,
-            fault_stats=fault_stats,
-        )
-        return 200, text.encode("utf-8")
 
 
 def make_app(

@@ -20,7 +20,13 @@ Injection sites (the strings the service passes to :meth:`FaultInjector.fail`
     Checked by the HTTP layer inside the request deadline; a firing rule
     sleeps ``latency`` seconds and/or burns ``busy`` seconds of CPU (the
     spin *contends* for the GIL, which is how overload benchmarks create
-    realistic queueing without real datasets).
+    realistic queueing without real datasets).  Shard workers also check
+    it with the target ``status`` before answering the router's status
+    poll (the worker-truth half of ``/datasets``, ``/readyz`` and
+    ``/metrics``), which is how a test stalls a worker's status reply.
+    Only a rule whose ``match`` is literally ``"status"`` fires there: a
+    catch-all glob such as ``"*"`` keeps meaning every request path, and
+    its skip/times/probability counts see no status polls.
 ``worker_exit``
     Checked by shard worker processes (:mod:`repro.service.shard_worker`)
     right before dispatching a request; a firing rule makes the worker
@@ -154,12 +160,14 @@ class FaultInjector:
     # Decision core
     # ------------------------------------------------------------------
 
-    def _firing_rules(self, site: str, target: str) -> list[FaultRule]:
+    def _firing_rules(self, site: str, target: str, exact=False) -> list[FaultRule]:
         """All rules that fire for this call (counters advance under lock)."""
         firing: list[FaultRule] = []
         with self._lock:
             for index, rule in enumerate(self.rules):
-                if rule.site != site or not fnmatchcase(target, rule.match):
+                if rule.site != site or not (
+                    rule.match == target if exact else fnmatchcase(target, rule.match)
+                ):
                     continue
                 self._matched[index] += 1
                 if self._matched[index] <= rule.skip:
@@ -183,9 +191,10 @@ class FaultInjector:
                 f"{rule.message} (site={site}, target={target})"
             )
 
-    def delay(self, target: str) -> None:
-        """Apply any firing ``latency`` rule: sleep and/or burn CPU."""
-        for rule in self._firing_rules("latency", target):
+    def delay(self, target: str, exact: bool = False) -> None:
+        """Apply any firing ``latency`` rule: sleep and/or burn CPU
+        (``exact``: only rules naming ``target`` literally match)."""
+        for rule in self._firing_rules("latency", target, exact):
             if rule.latency > 0:
                 self._sleeper(rule.latency)
             if rule.busy > 0:

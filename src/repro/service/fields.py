@@ -1,12 +1,13 @@
-"""Request field tables: one declarative entry per field of a request body.
+"""Request field tables: one declarative entry per field of a request.
 
-Each POST endpoint describes its JSON body as a tuple of :class:`Field`
-entries, built once at import.  The same tuple drives decoding
-(:func:`decode_fields`), the semantic checks (:func:`check_fields`), and
-the endpoint's ``request_fields`` in ``GET /v1/schema``
-(:meth:`Field.describe`), so what the schema advertises is what the
-service enforces.  (``/batch`` and ``/admin/shards`` keep their own
-envelope checks; their tables only document the body.)
+Each endpoint describes its request as a tuple of :class:`Field` entries,
+built once at import: the JSON body of a POST, the query parameters of a
+GET.  The same tuple drives decoding (:func:`decode_fields`, after
+:func:`decode_query` for a GET), the semantic checks
+(:func:`check_fields`), and the endpoint's ``request_fields`` in
+``GET /v1/schema`` (:meth:`Field.describe`), so what the schema advertises
+is what the service enforces.  (``/batch`` and ``/admin/shards`` keep
+their own envelope checks; their tables only document the body.)
 
 Decoding raises only :class:`~repro.service.errors.BadRequest` (400): a
 body that is not an object, a missing required field, a value of the wrong
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from urllib.parse import parse_qsl
 
 from ..core.measures import available_measures
 from ..exceptions import ReproError
@@ -33,6 +35,7 @@ __all__ = [
     "Field",
     "check_fields",
     "decode_fields",
+    "decode_query",
     "require_object",
 ]
 
@@ -204,6 +207,20 @@ def decode_fields(table: tuple[Field, ...], payload) -> dict:
                 continue
         values[name] = field.decode(name, value)
     return values
+
+
+def decode_query(table: tuple[Field, ...], query: str) -> dict:
+    """A GET query string as the payload :func:`decode_fields` takes: an
+    integer field's value becomes an ``int`` when it parses as one."""
+    payload = dict(parse_qsl(query, keep_blank_values=True))
+    for field in table:
+        value = payload.get(field.name)
+        if value is not None and _KINDS[field.kind][0] == "integer":
+            try:
+                payload[field.name] = int(value)
+            except ValueError:
+                pass
+    return payload
 
 
 def _semantic(parse, *args):

@@ -6,18 +6,25 @@ without a socket.  The server layer maps their return values onto HTTP
 responses and their :class:`~repro.service.errors.ServiceError` exceptions
 onto structured 4xx JSON bodies.
 
+Every public endpoint is one :class:`Endpoint` row of :data:`ENDPOINTS`,
+which routing, ``/v1/schema`` and the shard worker's call check all read.
+
 Validation policy
 -----------------
-Each POST endpoint's body is one field table (:mod:`repro.service.fields`)
-that drives parsing, the cache keys and the endpoint's ``request_fields`` in
-``GET /v1/schema``.  A payload is judged in a fixed order, so one with
+Each endpoint's request is one field table (:mod:`repro.service.fields`):
+the JSON body of a POST, the query parameters of a GET (decoded with
+:func:`~repro.service.fields.decode_query`, so ``?limit=abc`` is a 400 and
+``?limit=0`` a 422 exactly as the same values in a body would be).  The
+table drives parsing, the cache keys and the endpoint's ``request_fields``
+in ``GET /v1/schema``.  A payload is judged in a fixed order, so one with
 several faults always reports the first of:
 
 1. 400 — envelope faults: the body is not an object, a required field is
    missing, a field has the wrong JSON type;
 2. 404 — the dataset is not registered (checked before any heavy work);
 3. 422 — semantic faults: a value outside its enum (dimensions, measures,
-   interventions, ...), ``k <= 0``, a malformed group label or member, a
+   interventions, ...), a value below its minimum (``k <= 0``,
+   ``limit <= 0``), a malformed group label or member, a
    what-if on a ranked-list dataset; members outside a domain and
    undefined cells surface when the query runs.
 
@@ -27,7 +34,8 @@ an item's own 400 or 422 follows the 404.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import threading
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -52,11 +60,14 @@ from .encoding import (
     encode_topk,
     encode_whatif,
 )
-from .errors import BadRequest, ServiceError, Unprocessable, error_catalog
+from .errors import (
+    BadRequest, DatasetExists, ServiceError, Unprocessable, error_catalog,
+)
 from .faults import FaultInjector
-from .fields import DATASET, MEASURE, Field, check_fields, decode_fields
+from .fields import DATASET, MEASURE, Field, check_fields, decode_fields, require_object
 from .ingest import OBSERVATION_FIELDS, TRENDS_FIELDS, IngestManager
-from .observability import ServiceMetrics
+from .ingest import handle_observations, trends_document
+from .observability import ServiceMetrics, merge_counters, render_metrics
 from .registry import DatasetRegistry
 from .resilience import AdmissionController
 
@@ -64,8 +75,12 @@ __all__ = [
     "API_PREFIX",
     "API_VERSION",
     "DATASET_FIELDS",
+    "ENDPOINTS",
     "LEGACY_SUNSET",
     "REQUEST_PARSERS",
+    "ROUTED",
+    "ROUTES",
+    "Endpoint",
     "ServiceContext",
     "handle_quantify",
     "handle_compare",
@@ -73,10 +88,15 @@ __all__ = [
     "handle_whatif",
     "handle_batch",
     "handle_front_read",
+    "handle_admin_shards",
+    "handle_register_dataset",
     "handle_datasets",
+    "handle_scenarios",
     "handle_healthz",
     "handle_readyz",
+    "handle_metrics",
     "handle_schema",
+    "parse_request",
     "resolve_degraded",
     "service_schema",
 ]
@@ -94,7 +114,6 @@ _DIMENSIONS = ("group", "query", "location")
 _ORDERS = ("most", "least")
 _QUANTIFY_ALGORITHMS = ("fagin", "naive")
 _COMPARE_ALGORITHMS = ("cube", "indices")
-_BATCH_OPS = ("quantify", "compare", "explain")
 
 _MAX_BATCH_ITEMS = 64
 """Upper bound on sub-requests per batch (everything runs under one
@@ -205,8 +224,6 @@ BATCH_FIELDS = (
 )
 """Documentation only: :func:`_batch_items` also takes a bare array."""
 
-_BATCH_ITEM_FIELDS = (Field("op", "choice", "", required=True, enum=_BATCH_OPS),)
-
 ADMIN_SHARDS_FIELDS = (
     Field(
         "count", "int", "target shard count (1-64); requires --shards",
@@ -231,7 +248,22 @@ DATASET_FIELDS = (
         "human-readable description; defaults to the scenario's",
     ),
 )
-"""``POST /datasets``, decoded by the application layer."""
+"""``POST /datasets``, decoded by :func:`handle_register_dataset`."""
+
+_MAX_PAGE_LIMIT = 1_000
+
+PAGE_FIELDS = (
+    # The default page is large enough that small catalogs arrive whole.
+    Field(
+        "limit", "int", f"page size; at most {_MAX_PAGE_LIMIT} are returned",
+        default=100, minimum=1,
+    ),
+    Field(
+        "offset", "natural", "entries to skip; page on with next_offset",
+        default=0,
+    ),
+)
+"""The ``limit``/``offset`` query parameters of the paginated listings."""
 
 
 @dataclass
@@ -480,24 +512,6 @@ def handle_whatif(context: ServiceContext, payload) -> dict:
     return _answer(context, _parse_whatif(context, payload), _compute_whatif)
 
 
-REQUEST_PARSERS = {
-    "/quantify": _parse_quantify,
-    "/compare": _parse_compare,
-    "/explain": _parse_explain,
-    "/whatif": _parse_whatif,
-}
-"""Endpoint → cheap payload parser, for callers that need a request's cache
-keys without running it: the application layer's cached fast path, the
-front-side read, and degraded mode."""
-
-_FRONT_READS = {"/quantify": _compute_quantify, "/compare": _compute_compare}
-"""Endpoints a sharded front can answer straight from a published columnar
-segment.  ``/explain`` and ``/whatif`` are excluded on purpose: both reach
-through the unfairness *engine* into per-observation evidence (the raw
-worker rankings), which only the owning worker holds — segments carry the
-materialized cube and indices, not the raw dataset."""
-
-
 def handle_front_read(context: ServiceContext, path: str, payload) -> dict:
     """Answer ``/quantify`` or ``/compare`` on a sharded front straight from
     the owning worker's published columnar segment — no worker roundtrip.
@@ -510,8 +524,8 @@ def handle_front_read(context: ServiceContext, path: str, payload) -> dict:
     """
     from ..core.colstore import AttachedFBox, SegmentMiss
 
-    compute = _FRONT_READS.get(path)
-    if compute is None:
+    endpoint = ROUTES.get(("POST", path))
+    if endpoint is None or endpoint.front_read is None:
         raise SegmentMiss(f"no front-side read for {path}")
     try:
         request = REQUEST_PARSERS[path](context, payload)
@@ -522,7 +536,19 @@ def handle_front_read(context: ServiceContext, path: str, payload) -> dict:
     fbox = AttachedFBox.attach(
         context.registry.segments, request.dataset, request.measure
     )
-    return _answer(context, request, compute, fbox)
+    return _answer(context, request, endpoint.front_read, fbox)
+
+
+def parse_request(context: ServiceContext, path: str, payload) -> _Request | None:
+    """``payload`` parsed by ``path``'s :data:`REQUEST_PARSERS` entry, or
+    ``None`` when the endpoint has none or the payload does not parse."""
+    parser = REQUEST_PARSERS.get(path)
+    if parser is None:
+        return None
+    try:
+        return parser(context, payload)
+    except ServiceError:
+        return None
 
 
 def resolve_degraded(
@@ -540,14 +566,8 @@ def resolve_degraded(
     endpoint has no degraded mode, the request did not opt in, the payload
     does not re-parse, or there is no last-known-good entry.
     """
-    parser = REQUEST_PARSERS.get(endpoint)
-    if parser is None:
-        return None
-    try:
-        request = parser(context, payload)
-    except ServiceError:
-        return None
-    if not request.allow_stale:
+    request = parse_request(context, endpoint, payload)
+    if request is None or not request.allow_stale:
         return None
     entry = context.stale.get(request.stale_key)
     if entry is None:
@@ -665,43 +685,16 @@ def handle_batch(context: ServiceContext, payload) -> dict:
     return encode_batch(results, sweep_groups=len(plans), shared_items=shared_items)
 
 
-_DEFAULT_PAGE_LIMIT = 100
-"""Listing page size when the client sends no ``limit`` — large enough that
-small catalogs still arrive whole in one response."""
-
-_MAX_PAGE_LIMIT = 1_000
-
-
-def _page_params(payload) -> tuple[int, int]:
-    """Validated ``limit``/``offset`` query params (GET params are strings)."""
-    params = payload if isinstance(payload, dict) else {}
-
-    def parse(name: str, default: int, minimum: int) -> int:
-        raw = params.get(name, default)
-        try:
-            value = int(raw)
-        except (TypeError, ValueError):
-            raise BadRequest(
-                f"query param {name!r} must be an integer, got {raw!r}"
-            ) from None
-        if value < minimum:
-            raise BadRequest(
-                f"query param {name!r} must be >= {minimum}, got {value}"
-            )
-        return value
-
-    limit = min(parse("limit", _DEFAULT_PAGE_LIMIT, 1), _MAX_PAGE_LIMIT)
-    offset = parse("offset", 0, 0)
-    return limit, offset
-
-
 def _paginate(payload, entries: list) -> tuple[list, dict]:
     """Slice a listing by ``limit``/``offset`` and build the cursor fields.
 
     ``next_offset`` is the cursor: non-null while more entries remain, so a
     client pages with ``?offset=<next_offset>`` until it comes back null.
     """
-    limit, offset = _page_params(payload)
+    values = decode_fields(PAGE_FIELDS, payload or {})
+    check_fields(PAGE_FIELDS, values)
+    limit = min(values["limit"], _MAX_PAGE_LIMIT)
+    offset = values["offset"]
     window = entries[offset : offset + limit]
     next_offset = offset + limit if offset + limit < len(entries) else None
     return window, {
@@ -818,33 +811,237 @@ def handle_readyz(context: ServiceContext, payload=None) -> tuple[int, dict]:
     }
 
 
+def handle_metrics(context: ServiceContext, payload=None) -> tuple[int, bytes]:
+    """``GET /metrics`` — the Prometheus text exposition; under sharding the
+    workers' counters, breakers and fired faults are folded in."""
+    counters = context.counters()
+    breaker_states = context.registry.breaker_states()
+    fault_stats = context.faults.snapshot() if context.faults is not None else None
+    if context.router is not None:
+        workers = context.router.merged_observability()
+        counters = merge_counters(counters, workers["counters"])
+        breaker_states = workers["breakers"]
+        if fault_stats is not None or workers["faults"]:
+            fault_stats = list(fault_stats or ()) + workers["faults"]
+    admission = context.admission
+    text = render_metrics(
+        context.metrics.snapshot(),
+        counters,
+        admission_stats=admission.snapshot() if admission is not None else None,
+        breaker_states=breaker_states,
+        fault_stats=fault_stats,
+    )
+    return 200, text.encode("utf-8")
+
+
+def handle_admin_shards(context: ServiceContext, payload) -> dict:
+    """``POST /admin/shards`` — live-resize the worker pool (``--shards`` only)."""
+    router = context.router
+    if router is None:
+        raise Unprocessable(
+            "live shard-pool resize requires --shards; this instance "
+            "executes queries in-process"
+        )
+    return router.resize(require_object(payload).get("count"))
+
+
+_REGISTER_LOCK = threading.Lock()
+"""Serializes the name check and the registration of runtime datasets."""
+
+
+def handle_register_dataset(context: ServiceContext, payload) -> dict:
+    """``POST /datasets`` — register a scenario-backed dataset at runtime.
+
+    The dataset stays lazy: the first query against it triggers the build
+    on whichever side owns it.  Name collisions are a hard 409
+    (:class:`DatasetExists`); generation semantics match re-registering a
+    spec (the tag starts at 1 and every later ingest bumps it).
+    """
+    values = decode_fields(DATASET_FIELDS, payload)
+    name, scenario = values["name"], values["scenario"]
+    overrides = values["overrides"] or {}
+    # Lazy import: repro.scenarios imports service modules for its error
+    # types, so the dependency must point this way at call time.
+    from ..scenarios import scenario_spec
+
+    registry = context.registry
+    with _REGISTER_LOCK:
+        if name in registry.names():
+            raise DatasetExists(
+                f"dataset {name!r} is already registered; runtime "
+                "registration never replaces a live dataset"
+            )
+        spec = scenario_spec(
+            name, scenario, overrides, description=values["description"]
+        )
+        registry.register(spec)
+    router = context.router
+    if router is not None:
+        # Broadcast after the front registers: a worker that is down right
+        # now inherits the spec anyway when its respawn re-reads the front
+        # registry.
+        router.register_dataset(spec)
+    return {
+        "dataset": name,
+        "scenario": scenario,
+        "overrides": overrides,
+        "site": spec.site,
+        "generation": registry.generation(name),
+        "shard": router.shard_of(name) if router is not None else 0,
+    }
+
+
+def handle_schema(context: ServiceContext, payload=None) -> tuple[int, dict]:
+    """``GET /schema`` — the machine-readable description of the API."""
+    return 200, service_schema()
+
+
 # ----------------------------------------------------------------------
-# GET /schema — the machine-readable API description
+# The endpoint table
 # ----------------------------------------------------------------------
 
 
-def _describe(table) -> list[dict]:
-    return [field.describe() for field in table]
+@dataclass(frozen=True)
+class Endpoint:
+    """One public endpoint, declared once for routing, placement and schema.
+
+    ``handler(context, payload)`` gets a POST's JSON body or a GET's query
+    parameters and returns the answer (``probe`` and ``worker`` handlers:
+    ``(status, document)``).  ``placement`` is how the app runs it:
+    ``probe`` inline, outside admission; ``worker`` inline, but under
+    ``--shards`` on the loop's default executor (it polls the workers, and
+    must not queue behind query work on the pool); ``pool`` on the pool;
+    ``admin`` token-gated on the pool, outside admission; ``query`` through
+    the fast path, admission and the deadline, or to the owning worker.
+    Pool and executor hops add no front deadline: a routed call's worker
+    owns it.
+    ``parser``, ``front_read`` (computed on an attached segment) and
+    ``batch_op`` belong to query rows; ``extra`` adds schema keys.
+    """
+
+    method: str
+    path: str
+    description: str
+    handler: Callable
+    placement: str
+    fields: tuple[Field, ...] = ()
+    parser: Callable | None = None
+    front_read: Callable | None = None
+    batch_op: bool = False
+    extra: Callable[[], dict] | None = None
+
+
+ENDPOINTS = (
+    Endpoint(
+        "POST", "/quantify",
+        "Problem 1: top/bottom-k unfairness of one dimension",
+        handle_quantify, "query", QUANTIFY_FIELDS,
+        parser=_parse_quantify, front_read=_compute_quantify, batch_op=True,
+    ),
+    Endpoint(
+        "POST", "/compare", "Problem 2: reversal breakdown of two members",
+        handle_compare, "query", COMPARE_FIELDS,
+        parser=_parse_compare, front_read=_compute_compare, batch_op=True,
+    ),
+    # No front read for /explain and /whatif: both reach into the raw worker
+    # rankings, which only the owning worker holds (segments do not).
+    Endpoint(
+        "POST", "/explain", "decompose one d<g,q,l> cell into contributions",
+        handle_explain, "query", EXPLAIN_FIELDS,
+        parser=_parse_explain, batch_op=True,
+    ),
+    Endpoint(
+        "POST", "/whatif",
+        "hypothetically re-rank one cell's worker ranking with a fairness "
+        "intervention; reports before/after for every registered "
+        "group-ranking measure",
+        handle_whatif, "query", WHATIF_FIELDS, parser=_parse_whatif,
+    ),
+    Endpoint(
+        "POST", "/batch", "many sub-requests in one call, sharing index sweeps",
+        handle_batch, "query", BATCH_FIELDS,
+        extra=lambda: {
+            "batch": {"max_items": _MAX_BATCH_ITEMS, "ops": list(_BATCH_OPS)}
+        },
+    ),
+    Endpoint(
+        "POST", "/observations",
+        "live ingest: fold a batch of new rankings into a dataset "
+        "incrementally (delta cube/index maintenance)",
+        handle_observations, "query", OBSERVATION_FIELDS,
+    ),
+    Endpoint(
+        "GET", "/trends",
+        "one cube cell's measure values across ingest generations "
+        "(request_fields are query parameters)",
+        trends_document, "pool", TRENDS_FIELDS,
+    ),
+    Endpoint(
+        "POST", "/admin/shards",
+        "operations: live-resize the worker pool; migrates moving datasets' "
+        "state and flips routing atomically per dataset (auth: "
+        "X-Admin-Token when --admin-token is set)",
+        handle_admin_shards, "admin", ADMIN_SHARDS_FIELDS,
+    ),
+    Endpoint(
+        "POST", "/datasets",
+        "register a dataset from a named scenario at runtime; the owning "
+        "worker builds it lazily on first touch (auth: X-Admin-Token when "
+        "--admin-token is set; 409 on name collision)",
+        handle_register_dataset, "admin", DATASET_FIELDS,
+    ),
+    Endpoint(
+        "GET", "/datasets",
+        "registered datasets with shard, generation, and breaker state "
+        "(query params: limit, offset; next_offset cursor)",
+        handle_datasets, "worker", PAGE_FIELDS,
+    ),
+    Endpoint(
+        "GET", "/scenarios",
+        "named scenario presets with full config echo (query params: limit, "
+        "offset; next_offset cursor)",
+        handle_scenarios, "probe", PAGE_FIELDS,
+    ),
+    Endpoint("GET", "/schema", "this document", handle_schema, "probe"),
+    Endpoint("GET", "/healthz", "liveness: the process is up", handle_healthz, "probe"),
+    Endpoint(
+        "GET", "/readyz",
+        "readiness: 503 while datasets build or breakers are open",
+        handle_readyz, "worker",
+    ),
+    Endpoint("GET", "/metrics", "Prometheus text exposition", handle_metrics, "worker"),
+)
+"""Every public endpoint, in ``/v1/schema`` order."""
+
+ROUTES = {(endpoint.method, endpoint.path): endpoint for endpoint in ENDPOINTS}
+"""``(method, canonical path)`` → row: what the application layer routes."""
+
+ROUTED = {e.path: e for e in ENDPOINTS if e.placement in ("query", "pool")}
+"""Path → row for the calls a sharded front ships to the owning worker."""
+
+REQUEST_PARSERS = {
+    endpoint.path: endpoint.parser for endpoint in ENDPOINTS if endpoint.parser
+}
+"""Endpoint → cheap payload parser, for callers that need a request's cache
+keys without running it: the application layer's cached fast path, the
+front-side read, and degraded mode."""
+
+_BATCH_OPS = tuple(endpoint.path[1:] for endpoint in ENDPOINTS if endpoint.batch_op)
+
+_BATCH_ITEM_FIELDS = (Field("op", "choice", "", required=True, enum=_BATCH_OPS),)
 
 
 def service_schema() -> dict:
-    """The ``GET /v1/schema`` document.
+    """The ``GET /v1/schema`` document: one entry per :data:`ENDPOINTS` row.
 
-    Each POST endpoint's ``request_fields`` is rendered from the field table
-    its parser walks, the enums of ``measure`` and ``intervention`` from the
-    live registries (a measure registered at runtime appears here with no
-    service edits), the batch limits from the constants ``/batch``
+    Each endpoint's ``request_fields`` is rendered from the field table its
+    request is decoded with, the enums of ``measure`` and ``intervention``
+    from the live registries (a measure registered at runtime appears here
+    with no service edits), the batch limits from the constants ``/batch``
     enforces, and the error catalog from
     :func:`~repro.service.errors.error_catalog`, so the document describes
     exactly what the service accepts and raises.
     """
-    endpoint = lambda method, path, description, **extra: {  # noqa: E731
-        "method": method,
-        "path": API_PREFIX + path,
-        "legacy_path": path,
-        "description": description,
-        **extra,
-    }
     return {
         "version": API_VERSION,
         "mount": API_PREFIX,
@@ -862,86 +1059,15 @@ def service_schema() -> dict:
             "410 with a v1_path pointer",
         },
         "endpoints": [
-            endpoint(
-                "POST", "/quantify",
-                "Problem 1: top/bottom-k unfairness of one dimension",
-                request_fields=_describe(QUANTIFY_FIELDS),
-            ),
-            endpoint(
-                "POST", "/compare",
-                "Problem 2: reversal breakdown of two members",
-                request_fields=_describe(COMPARE_FIELDS),
-            ),
-            endpoint(
-                "POST", "/explain",
-                "decompose one d<g,q,l> cell into contributions",
-                request_fields=_describe(EXPLAIN_FIELDS),
-            ),
-            endpoint(
-                "POST", "/whatif",
-                "hypothetically re-rank one cell's worker ranking with a "
-                "fairness intervention; reports before/after for every "
-                "registered group-ranking measure",
-                request_fields=_describe(WHATIF_FIELDS),
-            ),
-            endpoint(
-                "POST", "/batch",
-                "many sub-requests in one call, sharing index sweeps",
-                request_fields=_describe(BATCH_FIELDS),
-                batch={
-                    "max_items": _MAX_BATCH_ITEMS,
-                    "ops": list(_BATCH_OPS),
-                },
-            ),
-            endpoint(
-                "POST", "/observations",
-                "live ingest: fold a batch of new rankings into a dataset "
-                "incrementally (delta cube/index maintenance)",
-                request_fields=_describe(OBSERVATION_FIELDS),
-            ),
-            endpoint(
-                "GET", "/trends",
-                "one cube cell's measure values across ingest generations "
-                "(request_fields are query parameters)",
-                request_fields=_describe(TRENDS_FIELDS),
-            ),
-            endpoint(
-                "POST", "/admin/shards",
-                "operations: live-resize the worker pool; migrates moving "
-                "datasets' state and flips routing atomically per dataset "
-                "(auth: X-Admin-Token when --admin-token is set)",
-                request_fields=_describe(ADMIN_SHARDS_FIELDS),
-            ),
-            endpoint(
-                "POST", "/datasets",
-                "register a dataset from a named scenario at runtime; the "
-                "owning worker builds it lazily on first touch (auth: "
-                "X-Admin-Token when --admin-token is set; 409 on name "
-                "collision)",
-                request_fields=_describe(DATASET_FIELDS),
-            ),
-            endpoint(
-                "GET", "/datasets",
-                "registered datasets with shard, generation, and breaker "
-                "state (query params: limit, offset; next_offset cursor)",
-            ),
-            endpoint(
-                "GET", "/scenarios",
-                "named scenario presets with full config echo (query "
-                "params: limit, offset; next_offset cursor)",
-            ),
-            endpoint("GET", "/schema", "this document"),
-            endpoint("GET", "/healthz", "liveness: the process is up"),
-            endpoint(
-                "GET", "/readyz",
-                "readiness: 503 while datasets build or breakers are open",
-            ),
-            endpoint("GET", "/metrics", "Prometheus text exposition"),
+            {
+                "method": endpoint.method,
+                "path": API_PREFIX + endpoint.path,
+                "legacy_path": endpoint.path,
+                "description": endpoint.description,
+                "request_fields": [field.describe() for field in endpoint.fields],
+                **(endpoint.extra() if endpoint.extra is not None else {}),
+            }
+            for endpoint in ENDPOINTS
         ],
         "errors": error_catalog(),
     }
-
-
-def handle_schema(context: ServiceContext, payload=None) -> tuple[int, dict]:
-    """``GET /schema`` — the machine-readable description of the API."""
-    return 200, service_schema()

@@ -52,7 +52,6 @@ __all__ = [
     "decode_observations",
     "encode_observation",
     "handle_observations",
-    "handle_trends",
     "trends_document",
 ]
 
@@ -564,12 +563,12 @@ TRENDS_FIELDS = (
 
 
 def trends_document(context, payload) -> dict:
-    """The ``/trends`` answer; shared by the GET route and worker dispatch."""
-    params = payload if payload is not None else {}
-    values = decode_fields(TRENDS_FIELDS, params)
+    """``GET /trends`` — one cube cell's measure values across generations
+    (a sharded front forwards the call to the owning worker)."""
+    values = decode_fields(TRENDS_FIELDS, payload)
     router = context.router
     if router is not None:
-        return router.execute("/trends", dict(params), router.request_timeout)
+        return router.execute("/trends", dict(payload), router.request_timeout)
     name = values["dataset"]
     spec = context.registry.spec(name)
     values["measure"] = (values["measure"] or spec.default_measure).lower()
@@ -585,7 +584,7 @@ def trends_document(context, payload) -> dict:
         ("location", location, {o.location for o in observations}),
     ):
         if value not in domain:
-            raise Unprocessable(f"{field} {params[field]!r} is not in dataset {name!r}")
+            raise Unprocessable(f"{field} {payload[field]!r} is not in dataset {name!r}")
     group = str(values["group"])
     points = context.ingest.trends(name, values["measure"], group, query, location)
     return {
@@ -598,8 +597,3 @@ def trends_document(context, payload) -> dict:
         "alert_threshold": context.ingest.alert_threshold,
         "points": points,
     }
-
-
-def handle_trends(context, payload=None) -> tuple[int, dict]:
-    """``GET /trends`` — one cube cell's measure values across generations."""
-    return 200, trends_document(context, payload)

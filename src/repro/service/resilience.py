@@ -31,9 +31,7 @@ import asyncio
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from time import monotonic
 
 from .errors import CircuitOpen, TooManyRequests
 
@@ -79,20 +77,12 @@ class _AsyncWaiter:
 class AdmissionController:
     """Concurrency cap + bounded wait queue with fast 429 shedding.
 
-    ``acquire()`` either starts executing immediately, waits in the bounded
-    queue for a slot, or raises :class:`TooManyRequests`; every successful
-    ``acquire()`` must be paired with ``release()`` (use :meth:`admit` for
-    the context-managed form).  ``max_concurrency <= 0`` disables admission
-    entirely (every request is accepted without accounting), matching the
-    cache's "0 disables" convention.
-
-    :meth:`acquire_async` is the event-loop twin used by the asyncio
-    transport: same counters, same queue bound, same shed policy, but a
-    queued request parks an ``asyncio.Future`` instead of blocking an OS
-    thread.  Sync and async callers share one accounting state, so a mixed
-    deployment still sheds against one global picture (freed slots are
-    handed to async waiters first; thread waiters take whatever the
-    condition variable wakes).
+    :meth:`acquire_async` either starts executing immediately, parks an
+    ``asyncio.Future`` in the bounded queue until a slot frees, or raises
+    :class:`TooManyRequests`; every successful acquire must be paired with
+    :meth:`release`, which may come from any thread.  ``max_concurrency <=
+    0`` disables admission entirely (every request is accepted without
+    accounting), matching the cache's "0 disables" convention.
     """
 
     def __init__(
@@ -107,7 +97,6 @@ class AdmissionController:
         self.queue_timeout = queue_timeout
         self.retry_after = retry_after
         self._lock = threading.Lock()
-        self._slot_free = threading.Condition(self._lock)
         self._async_waiters: deque[_AsyncWaiter] = deque()
         self._active = 0
         self._waiting = 0
@@ -118,49 +107,11 @@ class AdmissionController:
     def enabled(self) -> bool:
         return self.max_concurrency > 0
 
-    def acquire(self) -> None:
-        """Take an execution slot or raise :class:`TooManyRequests`.
-
-        Requests beyond the cap wait in the bounded queue; requests beyond
-        cap + queue — and queued requests whose ``queue_timeout`` expires —
-        are shed with a 429 carrying ``Retry-After``.
-        """
-        if not self.enabled:
-            return
-        deadline = (
-            None if self.queue_timeout is None else monotonic() + self.queue_timeout
-        )
-        with self._slot_free:
-            if self._active < self.max_concurrency:
-                self._active += 1
-                self.accepted += 1
-                return
-            if self._waiting >= self.max_queue:
-                self.shed += 1
-                raise self._overloaded("the request queue is full")
-            self._waiting += 1
-            try:
-                while self._active >= self.max_concurrency:
-                    remaining = (
-                        None if deadline is None else deadline - monotonic()
-                    )
-                    if remaining is not None and remaining <= 0:
-                        self.shed += 1
-                        raise self._overloaded(
-                            f"queued longer than {self.queue_timeout:g}s"
-                        )
-                    self._slot_free.wait(remaining)
-            finally:
-                self._waiting -= 1
-            self._active += 1
-            self.accepted += 1
-
     async def acquire_async(self) -> None:
         """Take an execution slot without blocking the event loop.
 
-        Mirrors :meth:`acquire` decision-for-decision: immediate admission
-        below the cap, a bounded wait (here an awaited future rather than a
-        condition variable) up to ``max_queue`` deep, and an immediate 429
+        Immediate admission below the cap, a bounded wait up to
+        ``max_queue`` deep, and an immediate 429 carrying ``Retry-After``
         beyond that or once ``queue_timeout`` expires.
         """
         if not self.enabled:
@@ -200,30 +151,19 @@ class AdmissionController:
         """Give the slot back and wake one queued request."""
         if not self.enabled:
             return
-        with self._slot_free:
+        with self._lock:
             self._release_locked()
 
     def _release_locked(self) -> None:
         """Free one slot and hand it to a waiter (caller holds the lock)."""
         self._active = max(0, self._active - 1)
-        while self._async_waiters and self._active < self.max_concurrency:
+        if self._async_waiters and self._active < self.max_concurrency:
             waiter = self._async_waiters.popleft()
             self._waiting -= 1
             self._active += 1
             self.accepted += 1
             waiter.granted = True
             waiter.wake()
-            return
-        self._slot_free.notify()
-
-    @contextmanager
-    def admit(self):
-        """``with admission.admit(): ...`` — acquire/release pairing."""
-        self.acquire()
-        try:
-            yield
-        finally:
-            self.release()
 
     def _overloaded(self, reason: str) -> TooManyRequests:
         return TooManyRequests(

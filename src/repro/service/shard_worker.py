@@ -10,9 +10,9 @@ state handoff: the router snapshots a moving dataset's journal, ledger,
 high-water sequence, and trend ring from its old owner and replays them
 into the new one before flipping routing.
 
-``call`` runs the single-process POST pipeline — the same coroutine the
-front's event loop awaits, driven here by
-:meth:`repro.service.app.FBoxApp.run_post` on an event loop owned by the
+``call`` runs the single-process query pipeline for one routed endpoint
+row — the same coroutine the front's event loop awaits, driven here by
+:meth:`repro.service.app.FBoxApp.run_call` on an event loop owned by the
 connection thread, against a worker-local
 :class:`~repro.service.handlers.ServiceContext` — so parsing, validation,
 caching, breaker accounting, deadline enforcement (the app's bounded pool
@@ -33,18 +33,17 @@ a "kill once" rule would kill every replacement forever.
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import os
 import socket
 import threading
 from dataclasses import dataclass
 
-from .app import FBoxApp, Request
+from .app import FBoxApp
 from .cache import LRUCache
 from .errors import NotFound, ServiceError
 from .faults import FaultInjector, FaultRule, InjectedFault
-from .handlers import ServiceContext
+from .handlers import ROUTED, ServiceContext
 from .ingest import IngestManager, decode_observations
 from .observability import ServiceMetrics
 from .registry import DatasetRegistry, DatasetSpec
@@ -123,6 +122,8 @@ def _status_document(
 ) -> dict:
     """The worker-truth half of the service's observability surface: the
     router merges these into ``/datasets``, ``/readyz``, and ``/metrics``."""
+    if faults is not None:
+        faults.delay("status", exact=True)
     registry = context.registry
     datasets = []
     for entry in registry.describe():
@@ -151,38 +152,30 @@ def _exit_fault(faults: FaultInjector | None, target: str) -> None:
             os._exit(_EXIT_INJECTED)
 
 
+def _reply(handle, *args) -> dict:
+    """A document op's reply frame: its document, or the error it raised."""
+    try:
+        document = handle(*args)
+    except ServiceError as error:
+        return {"ok": False, "error": encode_error(error)}
+    return {"ok": True, "status": 200, "document": document}
+
+
 def _handle_call(
     app: FBoxApp, faults: FaultInjector | None, message: dict
 ) -> dict:
+    """One routed row's answer from the in-process query pipeline."""
     path = message.get("path")
     _exit_fault(faults, str(path))
-    if not isinstance(path, str) or path not in app.post_routes:
-        return {
-            "ok": False,
-            "error": encode_error(NotFound(f"no such endpoint: POST {path}")),
-        }
-    request = Request(
-        method="POST",
-        path=path,
-        body=json.dumps(message.get("payload")).encode("utf-8"),
-    )
+    endpoint = ROUTED.get(path) if isinstance(path, str) else None
+    if endpoint is None:
+        raise NotFound(f"no such endpoint: POST {path}")
     try:
-        status, document = app.run_post(request)
-    except ServiceError as error:
-        return {"ok": False, "error": encode_error(error)}
+        return app.run_call(endpoint, message.get("payload"))[1]
+    except ServiceError:
+        raise
     except Exception as error:  # noqa: BLE001 - crosses a process boundary
-        return {
-            "ok": False,
-            "error": {
-                "status": 500,
-                "kind": "internal",
-                "message": str(error),
-                "retryable": False,
-                "retry_after": None,
-                "extra": None,
-            },
-        }
-    return {"ok": True, "status": status, "document": document}
+        raise ServiceError(str(error)) from error
 
 
 def _handle_export(
@@ -195,17 +188,13 @@ def _handle_export(
     """
     name = message.get("dataset")
     _exit_fault(faults, f"/admin/export:{name}")
-    try:
-        registry = context.registry
-        registry.spec(name)  # 404 before any work
-        document = {
-            "dataset": name,
-            "generation": registry.generation(name),
-            "state": context.ingest.export_state(name),
-        }
-    except ServiceError as error:
-        return {"ok": False, "error": encode_error(error)}
-    return {"ok": True, "status": 200, "document": document}
+    registry = context.registry
+    registry.spec(name)  # 404 before any work
+    return {
+        "dataset": name,
+        "generation": registry.generation(name),
+        "state": context.ingest.export_state(name),
+    }
 
 
 def _handle_import(
@@ -219,23 +208,16 @@ def _handle_import(
     """
     name = message.get("dataset")
     _exit_fault(faults, f"/admin/import:{name}")
-    try:
-        registry = context.registry
-        spec = registry.spec(name)
-        state = message.get("state") or {}
-        journal = state.get("journal") or []
-        observations = decode_observations(spec.site, journal) if journal else []
-        registry.adopt_observations(
-            name, observations, int(message.get("generation") or 0)
-        )
-        context.ingest.import_state(name, state)
-    except ServiceError as error:
-        return {"ok": False, "error": encode_error(error)}
-    return {
-        "ok": True,
-        "status": 200,
-        "document": {"dataset": name, "generation": registry.generation(name)},
-    }
+    registry = context.registry
+    spec = registry.spec(name)
+    state = message.get("state") or {}
+    journal = state.get("journal") or []
+    observations = decode_observations(spec.site, journal) if journal else []
+    registry.adopt_observations(
+        name, observations, int(message.get("generation") or 0)
+    )
+    context.ingest.import_state(name, state)
+    return {"dataset": name, "generation": registry.generation(name)}
 
 
 def _handle_register(
@@ -252,26 +234,22 @@ def _handle_register(
     """
     name = message.get("dataset")
     _exit_fault(faults, f"/admin/register:{name}")
-    try:
-        from ..scenarios import decode_overrides, scenario_spec
+    from ..scenarios import decode_overrides, scenario_spec
 
-        if not isinstance(name, str) or not name:
-            raise NotFound("register_dataset frame carries no dataset name")
-        spec = scenario_spec(
-            name,
-            str(message.get("scenario") or ""),
-            decode_overrides(tuple((message.get("overrides") or {}).items())),
-            description=message.get("description") or None,
-        )
-        context.registry.register(spec)
-        document = {
-            "dataset": name,
-            "scenario": spec.scenario,
-            "generation": context.registry.generation(name),
-        }
-    except ServiceError as error:
-        return {"ok": False, "error": encode_error(error)}
-    return {"ok": True, "status": 200, "document": document}
+    if not isinstance(name, str) or not name:
+        raise NotFound("register_dataset frame carries no dataset name")
+    spec = scenario_spec(
+        name,
+        str(message.get("scenario") or ""),
+        decode_overrides(tuple((message.get("overrides") or {}).items())),
+        description=message.get("description") or None,
+    )
+    context.registry.register(spec)
+    return {
+        "dataset": name,
+        "scenario": spec.scenario,
+        "generation": context.registry.generation(name),
+    }
 
 
 def _serve_connection(
@@ -294,31 +272,24 @@ def _serve_connection(
             elif op == "status":
                 send_frame(sock, _status_document(config, context, faults))
             elif op == "call":
-                send_frame(sock, _handle_call(app, faults, message))
+                send_frame(sock, _reply(_handle_call, app, faults, message))
             elif op == "export_dataset":
-                send_frame(sock, _handle_export(context, faults, message))
+                send_frame(sock, _reply(_handle_export, context, faults, message))
             elif op == "import_dataset":
-                send_frame(sock, _handle_import(context, faults, message))
+                send_frame(sock, _reply(_handle_import, context, faults, message))
             elif op == "register_dataset":
-                send_frame(sock, _handle_register(context, faults, message))
+                send_frame(sock, _reply(_handle_register, context, faults, message))
             elif op == "shutdown":
                 send_frame(sock, {"ok": True})
                 os._exit(0)
             else:
-                send_frame(
-                    sock,
-                    {
-                        "ok": False,
-                        "error": encode_error(
-                            NotFound(f"unknown shard op {op!r}")
-                        ),
-                    },
-                )
+                error = NotFound(f"unknown shard op {op!r}")
+                send_frame(sock, {"ok": False, "error": encode_error(error)})
     except (OSError, ConnectionError, ValueError):
         pass  # the router dropped the connection; nothing to clean up
     finally:
         # One thread serves one connection, one frame at a time, so its
-        # private run_post loop never has two callers; release it here.
+        # private event loop never has two callers; release it here.
         app._close_thread_loop()
         try:
             sock.close()

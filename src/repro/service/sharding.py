@@ -1060,15 +1060,9 @@ class ShardRouter:
                 results[position] = result
         for position, result in enumerate(results):
             if result is None:  # pragma: no cover - defensive
-                results[position] = {
-                    "status": 500,
-                    "error": {
-                        "code": "internal",
-                        "kind": "internal",
-                        "message": "shard returned no result for this item",
-                        "retryable": False,
-                    },
-                }
+                results[position] = batch_item_error(
+                    ServiceError("shard returned no result for this item")
+                )
         if self.metrics is not None:
             # One logical batch, whatever the fan-out: account it on the
             # front so fbox_batches_total matches the unsharded pipeline.

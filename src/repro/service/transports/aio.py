@@ -199,7 +199,9 @@ class FBoxHTTPServer:
         body = b""
         framing_error = None
         request_close = False
-        if method == "POST" and app.is_post_route(path):
+        if method == "POST":
+            # Every POST body is consumed, known route or not: bytes left on
+            # the socket would be parsed as the next pipelined request.
             plan = app.plan_body(headers.get("content-length"))
             if plan.error is not None:
                 framing_error = plan.error

@@ -279,6 +279,14 @@ class TestScenarioEndpoints:
             client.get("/v1/datasets?offset=-1")
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_page_limit_below_one_is_unprocessable(self, client, limit):
+        # Well-typed but below the field's minimum: 422, as k=0 is.
+        for listing in ("/v1/scenarios", "/v1/datasets"):
+            with pytest.raises(ClientError) as excinfo:
+                client.get(f"{listing}?limit={limit}")
+            assert excinfo.value.status == 422, listing
+
     def test_datasets_listing_is_paginated(self, client):
         document = client.datasets()
         assert {"count", "offset", "limit", "next_offset"} <= set(document)

@@ -1,15 +1,18 @@
-"""``GET /v1/schema`` conformance: each POST endpoint accepts what it publishes.
+"""``GET /v1/schema`` conformance: each endpoint accepts what it publishes.
 
-Payloads are generated from each table-driven endpoint's own published
-``request_fields`` and run in-process through the application layer (no
-sockets) over one small marketplace dataset.  A payload that follows the
-published fields never gets a 400; changing exactly one field gets the
-catalogued status and error code.
+Payloads — POST bodies and GET query strings — are generated from each
+table-driven endpoint's own published ``request_fields`` and run in-process
+through the application layer (no sockets) over one small marketplace
+dataset.  A payload that follows the published fields never gets a 400;
+changing exactly one field gets the catalogued status and error code, and
+an envelope fault (400) is reported before a semantic one (422).
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
+import urllib.parse
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +54,17 @@ def _published_fields() -> dict[str, list[dict]]:
 
 
 FIELDS = _published_fields()
+
+GET_FIELDS = {
+    endpoint["legacy_path"]: endpoint["request_fields"]
+    for endpoint in service_schema()["endpoints"]
+    if endpoint["method"] == "GET" and endpoint["request_fields"]
+}
+"""The GET endpoints with query parameters (``/trends`` and the listings)."""
+
+BELOW_MINIMUM = {"limit": 0}
+"""Integer query parameters with a minimum above zero, which
+``Field.describe`` leaves unpublished: a value below it is a 422."""
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +135,39 @@ def _valid_payload(data, fields: list[dict], domain: dict) -> dict:
     return payload
 
 
+def _get(app, path: str, params: dict) -> tuple[int, str | None]:
+    query = urllib.parse.urlencode({name: str(value) for name, value in params.items()})
+    request = Request("GET", f"/v1{path}?{query}")
+    response = asyncio.run(app.handle_async(request))
+    document = json.loads(response.body)
+    return response.status, document["error"]["code"] if "error" in document else None
+
+
+def _semantic_fault(data, fields: list[dict]) -> tuple[str, object]:
+    """One ``(name, value)`` that decodes but fails its field's check."""
+    faults = [
+        (field["name"], "zz-" + field["enum"][0]) for field in fields if "enum" in field
+    ] + [(name, value) for name, value in BELOW_MINIMUM.items() if any(
+        field["name"] == name for field in fields
+    )]
+    return data.draw(st.sampled_from(faults))
+
+
+def _envelope_fault(data, fields: list[dict], payload: dict) -> None:
+    """Break ``payload``'s envelope: drop a required parameter, or send a
+    non-integer for an integer one."""
+    faults = [("drop", field["name"]) for field in fields if field["required"]] + [
+        ("set", field["name"]) for field in fields if field["type"] == "integer"
+    ]
+    action, name = data.draw(st.sampled_from(faults))
+    if action == "drop":
+        payload.pop(name, None)
+    else:
+        payload[name] = data.draw(st.sampled_from(["abc", "1.5", ""]))
+
+
 endpoints = st.sampled_from(ENDPOINTS)
+get_endpoints = st.sampled_from(sorted(GET_FIELDS))
 enum_endpoints = st.sampled_from(
     [path for path in ENDPOINTS if any("enum" in field for field in FIELDS[path])]
 )
@@ -172,3 +218,45 @@ class TestPublishedFieldsConform:
 )
 def test_published_fields_come_from_the_tables(path, table: tuple[Field, ...]):
     assert FIELDS[path] == [field.describe() for field in table]
+
+
+class TestPublishedQueryParamsConform:
+    @settings(max_examples=24)
+    @given(path=get_endpoints, data=st.data())
+    def test_valid_query_never_gets_a_400(self, conformance, path, data):
+        app, domain = conformance
+        params = _valid_payload(data, GET_FIELDS[path], domain)
+        status, code = _get(app, path, params)
+        assert status != 400, (params, code)
+        assert status < 500, (params, code)
+
+    @settings(max_examples=24)
+    @given(path=get_endpoints, data=st.data())
+    def test_an_envelope_fault_is_400(self, conformance, path, data):
+        app, domain = conformance
+        params = _valid_payload(data, GET_FIELDS[path], domain)
+        _envelope_fault(data, GET_FIELDS[path], params)
+        assert _get(app, path, params) == (400, "bad_request")
+
+    @settings(max_examples=24)
+    @given(path=get_endpoints, data=st.data())
+    def test_a_semantic_fault_is_422(self, conformance, path, data):
+        app, domain = conformance
+        params = _valid_payload(data, GET_FIELDS[path], domain)
+        name, value = _semantic_fault(data, GET_FIELDS[path])
+        params[name] = value
+        assert _get(app, path, params) == (422, "unprocessable")
+
+    @settings(max_examples=24)
+    @given(path=get_endpoints, data=st.data())
+    def test_400_comes_before_422(self, conformance, path, data):
+        app, domain = conformance
+        params = _valid_payload(data, GET_FIELDS[path], domain)
+        name, value = _semantic_fault(data, GET_FIELDS[path])
+        params[name] = value
+        _envelope_fault(data, [f for f in GET_FIELDS[path] if f["name"] != name], params)
+        assert _get(app, path, params) == (400, "bad_request")
+
+
+def test_get_endpoints_with_fields_are_published():
+    assert sorted(GET_FIELDS) == ["/datasets", "/scenarios", "/trends"]

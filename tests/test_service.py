@@ -517,6 +517,27 @@ class TestKeepAliveFraming:
         assert document["kind"] == "quantification"
         assert len(document["entries"]) == 2
 
+    def test_pipelined_unknown_post_then_valid_request(self, service):
+        """A body sent to a path with no POST route is consumed too."""
+        body = b'{"x": 1}'
+        first = (
+            b"POST /v1/nope HTTP/1.1\r\n"
+            b"Host: t\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n"
+            b"\r\n" + body
+        )
+        second = b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+        host, port = service.server.server_address[:2]
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.sendall(first + second)
+            reader = sock.makefile("rb")
+            status1, _, body1 = _read_http_response(reader)
+            status2, _, body2 = _read_http_response(reader)
+        assert status1 == 404
+        assert json.loads(body1)["error"]["code"] == "not_found"
+        assert status2 == 200
+        assert json.loads(body2)["status"] == "ok"
+
     def test_invalid_content_length_closes_the_connection(self, service):
         """With an unparseable length we cannot resync, so we must close."""
         request = (

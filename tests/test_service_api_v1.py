@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import json
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
 
 from repro.client import FBoxClient, RetryPolicy
 from repro.service.errors import error_catalog
+from repro.service.faults import FAULTS_ENV_VAR
 from repro.service.handlers import API_PREFIX, API_VERSION, LEGACY_SUNSET
 from repro.service.registry import DatasetRegistry, DatasetSpec
 
@@ -167,6 +169,25 @@ class TestErrorEnvelope:
         assert error["code"] == "not_found"
         assert error["kind"] == "not_found"  # the deprecated alias survives
 
+    def test_injected_handler_fault_envelope(
+        self, start_service, monkeypatch, small_marketplace_dataset,
+        small_search_dataset,
+    ):
+        monkeypatch.setenv(
+            FAULTS_ENV_VAR,
+            json.dumps(
+                {"rules": [{"site": "handler", "match": "/quantify", "message": "boom"}]}
+            ),
+        )
+        registry = _registry(small_marketplace_dataset, small_search_dataset)
+        server = start_service(registry=registry, request_timeout=60.0)
+        status, body, _ = _exchange(server.url, "POST", "/v1/quantify", QUANTIFY)
+        assert status == 500
+        assert body == (
+            b'{"error": {"code": "internal", "kind": "internal", "message": '
+            b'"boom (site=handler, target=/quantify)", "retryable": false}}'
+        )
+
     def test_catalog_codes_are_unique_and_complete(self):
         catalog = error_catalog()
         codes = [entry["code"] for entry in catalog]
@@ -233,6 +254,71 @@ class TestSchemaEndpoint:
         assert sequence["type"] == "integer" and sequence["required"] is False
         description = fields[("POST", "/v1/datasets")]["description"]
         assert description["type"] == "string" and description["required"] is False
+
+
+class TestEndpointTable:
+    """Routing agrees with ``/v1/schema``: what is published answers, what
+    is not is a 404, and every published path is retired unversioned."""
+
+    @staticmethod
+    def _published(service) -> list[dict]:
+        _, body, _ = _exchange(service.url, "GET", "/v1/schema")
+        return json.loads(body)["endpoints"]
+
+    def test_every_published_endpoint_routes(self, service):
+        for endpoint in self._published(service):
+            payload = {} if endpoint["method"] == "POST" else None
+            status, body, _ = _exchange(
+                service.url, endpoint["method"], endpoint["path"], payload
+            )
+            assert status != 404, (endpoint["method"], endpoint["path"], body)
+
+    def test_an_unpublished_method_is_404(self, service):
+        published = {
+            (endpoint["method"], endpoint["path"])
+            for endpoint in self._published(service)
+        }
+        for method, path, payload in (
+            ("GET", "/v1/quantify", None),
+            ("POST", "/v1/trends", {}),
+            ("POST", "/v1/healthz", {}),
+        ):
+            assert (method, path) not in published
+            status, body, _ = _exchange(service.url, method, path, payload)
+            assert status == 404, (method, path)
+            assert json.loads(body)["error"]["code"] == "not_found"
+
+    def test_post_trends_is_404_for_a_valid_cell(
+        self, service, small_marketplace_dataset
+    ):
+        observation = small_marketplace_dataset.observations()[0]
+        cell = {
+            "dataset": "taskrabbit",
+            "group": "gender=Female",
+            "query": observation.query,
+            "location": observation.location,
+        }
+        status, body, _ = _exchange(service.url, "POST", "/v1/trends", cell)
+        assert status == 404
+        assert json.loads(body)["error"]["code"] == "not_found"
+        path = "/v1/trends?" + urllib.parse.urlencode(cell)
+        status, body, _ = _exchange(service.url, "GET", path)
+        assert status == 200, body
+
+    def test_every_published_path_is_410_without_the_prefix(self, service):
+        for endpoint in self._published(service):
+            payload = {} if endpoint["method"] == "POST" else None
+            status, body, _ = _exchange(
+                service.url, endpoint["method"], endpoint["legacy_path"], payload
+            )
+            assert status == 410, endpoint["legacy_path"]
+            error = json.loads(body)["error"]
+            assert error["code"] == "gone"
+            assert error["v1_path"] == endpoint["path"]
+
+    def test_every_endpoint_publishes_request_fields(self, service):
+        for endpoint in self._published(service):
+            assert isinstance(endpoint["request_fields"], list), endpoint["path"]
 
 
 class TestClientSpeaksV1:

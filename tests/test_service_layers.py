@@ -122,7 +122,7 @@ class TestAsyncAdmission:
 
     def test_sheds_immediately_when_queue_is_full(self):
         admission = AdmissionController(max_concurrency=1, max_queue=0)
-        admission.acquire()
+        asyncio.run(admission.acquire_async())
 
         async def scenario():
             with pytest.raises(TooManyRequests, match="queue is full"):
@@ -138,7 +138,7 @@ class TestAsyncAdmission:
         admission = AdmissionController(
             max_concurrency=1, max_queue=4, queue_timeout=0.05
         )
-        admission.acquire()
+        asyncio.run(admission.acquire_async())
 
         async def scenario():
             started = time.monotonic()
@@ -155,7 +155,7 @@ class TestAsyncAdmission:
 
     def test_parked_waiter_gets_the_freed_slot(self):
         admission = AdmissionController(max_concurrency=1, max_queue=1)
-        admission.acquire()
+        asyncio.run(admission.acquire_async())
 
         async def scenario():
             waiter = asyncio.ensure_future(admission.acquire_async())

@@ -19,6 +19,7 @@ Covers the whole resilience layer:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import math
 import threading
@@ -92,19 +93,24 @@ def live_server(executor_workers):
 # ----------------------------------------------------------------------
 
 
+def _acquire(admission: AdmissionController) -> None:
+    """Take a slot from synchronous test code (queued waits block it)."""
+    asyncio.run(admission.acquire_async())
+
+
 class TestAdmissionController:
     def test_zero_concurrency_disables_admission(self):
         admission = AdmissionController(max_concurrency=0)
         assert not admission.enabled
-        admission.acquire()  # no-op, no slot accounting
+        _acquire(admission)  # no-op, no slot accounting
         admission.release()
         assert admission.snapshot()["accepted"] == 0
 
     def test_sheds_immediately_when_queue_is_full(self):
         admission = AdmissionController(max_concurrency=1, max_queue=0)
-        admission.acquire()
+        _acquire(admission)
         with pytest.raises(TooManyRequests) as excinfo:
-            admission.acquire()
+            _acquire(admission)
         error = excinfo.value
         assert error.status == 429
         assert error.retry_after == 1.0
@@ -118,21 +124,21 @@ class TestAdmissionController:
         admission = AdmissionController(
             max_concurrency=1, max_queue=4, queue_timeout=0.05
         )
-        admission.acquire()
+        _acquire(admission)
         started = time.monotonic()
         with pytest.raises(TooManyRequests, match="queued longer"):
-            admission.acquire()
+            _acquire(admission)
         assert time.monotonic() - started >= 0.05
         assert admission.snapshot()["shed"] == 1
         admission.release()
 
     def test_queued_request_runs_once_a_slot_frees(self):
         admission = AdmissionController(max_concurrency=1, max_queue=1)
-        admission.acquire()
+        _acquire(admission)
         got_slot = threading.Event()
 
         def waiter() -> None:
-            admission.acquire()
+            _acquire(admission)
             got_slot.set()
 
         thread = threading.Thread(target=waiter, daemon=True)
@@ -149,8 +155,11 @@ class TestAdmissionController:
 
     def test_admit_context_manager_pairs_acquire_and_release(self):
         admission = AdmissionController(max_concurrency=2, max_queue=0)
-        with admission.admit():
+        _acquire(admission)
+        try:
             assert admission.snapshot()["active"] == 1
+        finally:
+            admission.release()
         assert admission.snapshot()["active"] == 0
 
 
@@ -359,9 +368,9 @@ class TestChaosDeterminism:
 
         admission = AdmissionController(max_concurrency=1, max_queue=0)
         for _ in range(3):
-            admission.acquire()
+            _acquire(admission)
             try:
-                admission.acquire()
+                _acquire(admission)
             except TooManyRequests:
                 pass
             admission.release()
@@ -437,6 +446,19 @@ class TestFaultInjection:
         injector.fail("handler", "/compare")  # no match, no raise
         with pytest.raises(InjectedFault):
             injector.fail("handler", "/quantify")
+
+    def test_status_target_fires_only_a_literal_rule(self):
+        slept = []
+        catch_all = FaultRule(site="latency", match="*", latency=1.0)
+        literal = FaultRule(site="latency", match="status", latency=2.0)
+        injector = FaultInjector([catch_all, literal], sleeper=slept.append)
+        injector.delay("status", exact=True)
+        assert slept == [2.0]
+        # The catch-all still stalls request paths, and never counted the
+        # status poll against its budget.
+        injector.delay("/quantify")
+        assert slept == [2.0, 1.0]
+        assert [s["matched"] for s in injector.snapshot()] == [1, 1]
 
     def test_rule_validation(self):
         with pytest.raises(ValueError):

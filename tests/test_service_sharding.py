@@ -311,6 +311,98 @@ class TestLoopStaysFree:
         assert not trends.is_alive()
         assert answered[0][0] == 200, answered
 
+    @pytest.mark.parametrize("path", ["/metrics", "/readyz", "/datasets"])
+    def test_healthz_answers_while_a_worker_status_reply_stalls(
+        self,
+        run_server,
+        monkeypatch,
+        path,
+        small_marketplace_dataset,
+        small_search_dataset,
+    ):
+        # Each worker sleeps 3 s (below the 5 s status timeout) before its
+        # status reply; the worker-truth GETs must poll from the pool.  Only
+        # the order of events is asserted.
+        monkeypatch.setenv(
+            FAULTS_ENV_VAR,
+            json.dumps(
+                {"rules": [{"site": "latency", "match": "status", "latency": 3.0}]}
+            ),
+        )
+        registry = _registry(small_marketplace_dataset, small_search_dataset)
+        server = run_server(registry, shards=2, request_timeout=60.0)
+        answered = []
+
+        def scrape() -> None:
+            with urllib.request.urlopen(server.url + "/v1" + path) as response:
+                answered.append(response.status)
+
+        stalled = threading.Thread(target=scrape, daemon=True)
+        stalled.start()
+        metrics = server.context.metrics
+        while not metrics.snapshot()["in_flight"].get(path):
+            assert not answered, answered
+            time.sleep(0.01)
+
+        status, health = _get(server.url, "/v1/healthz")
+        assert status == 200, health
+        assert not answered
+        stalled.join(timeout=60)
+        assert not stalled.is_alive()
+        assert answered == [200]
+
+    def test_worker_truth_gets_answer_while_routed_calls_fill_the_pool(
+        self,
+        run_server,
+        monkeypatch,
+        small_marketplace_dataset,
+        small_search_dataset,
+    ):
+        # Two routed trends calls stall 5 s on their worker and hold both
+        # threads of the query pool; the worker-truth GETs must not queue
+        # behind them.  Only the order of events is asserted.
+        monkeypatch.setenv(
+            FAULTS_ENV_VAR,
+            json.dumps(
+                {"rules": [{"site": "latency", "match": "/trends", "latency": 5.0}]}
+            ),
+        )
+        registry = _registry(small_marketplace_dataset, small_search_dataset)
+        server = run_server(
+            registry, shards=2, request_timeout=60.0, executor_workers=2
+        )
+        observation = small_marketplace_dataset.observations()[0]
+        path = "/v1/trends?" + urllib.parse.urlencode(
+            {
+                "dataset": "taskrabbit",
+                "group": "gender=Female",
+                "query": observation.query,
+                "location": observation.location,
+            }
+        )
+        answered = []
+        stalled = [
+            threading.Thread(
+                target=lambda: answered.append(_get(server.url, path)), daemon=True
+            )
+            for _ in range(2)
+        ]
+        for thread in stalled:
+            thread.start()
+        metrics = server.context.metrics
+        while metrics.snapshot()["in_flight"].get("/trends", 0) < 2:
+            assert not answered, answered
+            time.sleep(0.01)
+
+        for probe in ("/v1/readyz", "/v1/datasets", "/v1/metrics"):
+            with urllib.request.urlopen(server.url + probe) as response:
+                assert response.status == 200, probe
+            assert not answered, probe
+        for thread in stalled:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert [status for status, _ in answered] == [200, 200]
+
 
 # ----------------------------------------------------------------------
 # Cross-shard /batch
